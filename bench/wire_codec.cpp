@@ -1,7 +1,8 @@
 // wire_codec -- per-type control-plane codec benchmarks (BENCH_wire.json).
 //
 // One encode and one decode benchmark per ControlMessage alternative, so
-// the trajectory comparison can catch a regression in any single codec.
+// the trajectory comparison can catch a regression in any single codec,
+// plus the CRC-32 they all pay for on its own.
 // The metrics snapshot records the exact wire size of each benchmarked
 // frame, pinning the section-6.3 byte accounting (1638-byte single-homed
 // JoinRequest at 256 fingers) into the emitted JSON.
@@ -9,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "bench/emit_json.hpp"
@@ -50,8 +52,9 @@ wire::msg::JoinReply make_join_reply() {
   return jr;
 }
 
-/// The benchmarked message mix, indexed by benchmark Arg.  Index 0 is the
-/// section-6.3 JoinRequest (256 fingers, 1638-byte frame).
+/// The benchmarked message mix, indexed by benchmark Arg: one entry per
+/// ControlMessage alternative.  Index 0 is the section-6.3 JoinRequest
+/// (256 fingers, 1638-byte frame).
 std::vector<std::pair<std::string, wire::msg::ControlMessage>> message_mix() {
   Rng rng(71);
   const NodeId a = id_from(rng.next_u64(), rng.next_u64());
@@ -66,8 +69,12 @@ std::vector<std::pair<std::string, wire::msg::ControlMessage>> message_mix() {
   mix.emplace_back("keepalive", wire::msg::Keepalive{42});
   mix.emplace_back("lsa", wire::msg::Lsa{9, 17, 0, 9, 11});
   mix.emplace_back("ring_merge", wire::msg::RingMerge{a, 2, 6, 1, 0});
+  mix.emplace_back("label_install", wire::msg::LabelInstall{a, 21, 22, 5, 0});
+  mix.emplace_back("label_teardown", wire::msg::LabelTeardown{b, 21, 1});
   return mix;
 }
+
+constexpr int kMixSize = std::variant_size_v<wire::msg::ControlMessage>;
 
 const std::pair<std::string, wire::msg::ControlMessage>& mix_entry(
     std::int64_t i) {
@@ -91,7 +98,7 @@ void BM_WireEncode(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
   type_label(state);
 }
-BENCHMARK(BM_WireEncode)->DenseRange(0, 8);
+BENCHMARK(BM_WireEncode)->DenseRange(0, kMixSize - 1);
 
 void BM_WireDecode(benchmark::State& state) {
   const auto& [name, m] = mix_entry(state.range(0));
@@ -105,7 +112,22 @@ void BM_WireDecode(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
   type_label(state);
 }
-BENCHMARK(BM_WireDecode)->DenseRange(0, 8);
+BENCHMARK(BM_WireDecode)->DenseRange(0, kMixSize - 1);
+
+/// The CRC-32 alone, the bottom rung of the codec ladder: a 64-byte buffer
+/// and the 1634-byte body the 256-finger JoinRequest's trailer covers.
+void BM_Crc32(benchmark::State& state) {
+  std::vector<std::uint8_t> buf(static_cast<std::size_t>(state.range(0)));
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(wire::crc32(buf));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(1634);
 
 /// Embeds the exact wire size of every benchmarked frame under "metrics",
 /// so BENCH_wire.json is also a regression pin for the byte accounting.

@@ -452,9 +452,12 @@ void Core::begin_leave(double now_ms) {
 }
 
 void Core::on_frame(std::span<const std::uint8_t> frame, double now_ms) {
+  // One CRC pass and one header parse: the payload parser reads the
+  // already-verified packet rather than decoding the frame a second time.
   const auto pkt = Packet::decode(frame);
-  const auto m = msg::decode_control(frame);
-  if (!pkt.has_value() || !m.has_value()) {
+  const auto m = pkt.has_value() ? msg::decode_payload(pkt->type, pkt->payload)
+                                 : std::nullopt;
+  if (!m.has_value()) {
     // CRC-rejected (impairment corruption) or otherwise undecodable: to the
     // protocol this is loss; retries recover.
     env_.metrics().add(decode_failed_);

@@ -7,6 +7,7 @@
 // undefined behavior on malformed input.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -16,25 +17,40 @@
 
 namespace rofl::wire {
 
+/// Big-endian load of an unsigned integer from `p`, which must hold at least
+/// sizeof(T) readable bytes.  Readers that bounded a whole run of records
+/// with ByteReader::bytes() parse the records with it.
+template <typename T>
+[[nodiscard]] inline T load_be(const std::uint8_t* p) {
+  T v = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    v = static_cast<T>((v << 8) | p[i]);
+  }
+  return v;
+}
+
+/// Big-endian store of `v` into sizeof(T) bytes at `p`.
+template <typename T>
+inline void store_be(std::uint8_t* p, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    p[i] = static_cast<std::uint8_t>(v >> (8 * (sizeof(T) - 1 - i)));
+  }
+}
+
 class ByteWriter {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-    buf_.push_back(static_cast<std::uint8_t>(v));
-  }
-  void u32(std::uint32_t v) {
-    for (int i = 3; i >= 0; --i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 7; i >= 0; --i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
+  ByteWriter() = default;
+  /// Sizes the buffer to `capacity` bytes up front: a writer sized to the
+  /// frame it builds allocates exactly once.
+  explicit ByteWriter(std::size_t capacity) : buf_(capacity) {}
+
+  void u8(std::uint8_t v) { *grow(1) = v; }
+  void u16(std::uint16_t v) { store_be(grow(sizeof(v)), v); }
+  void u32(std::uint32_t v) { store_be(grow(sizeof(v)), v); }
+  void u64(std::uint64_t v) { store_be(grow(sizeof(v)), v); }
   void bytes(std::span<const std::uint8_t> data) {
-    buf_.insert(buf_.end(), data.begin(), data.end());
+    if (data.empty()) return;
+    std::memcpy(grow(data.size()), data.data(), data.size());
   }
   /// Length-prefixed (u16) byte string.  A field longer than 0xFFFF cannot
   /// be represented: nothing is written, the writer is marked failed, and
@@ -54,12 +70,31 @@ class ByteWriter {
   /// incomplete and must not be transmitted.
   [[nodiscard]] bool ok() const { return !failed_; }
 
-  [[nodiscard]] const std::vector<std::uint8_t>& data() const { return buf_; }
-  [[nodiscard]] std::size_t size() const { return buf_.size(); }
-  std::vector<std::uint8_t> take() { return std::move(buf_); }
+  /// The bytes written so far.
+  [[nodiscard]] std::span<const std::uint8_t> data() const {
+    return {buf_.data(), len_};
+  }
+  [[nodiscard]] std::size_t size() const { return len_; }
+  std::vector<std::uint8_t> take() {
+    buf_.resize(len_);  // shrinking never reallocates
+    len_ = 0;
+    return std::move(buf_);
+  }
 
  private:
+  /// Claims the next `n` bytes: one capacity check per value, and a
+  /// reallocation only when a writer outgrows the size it was given.
+  std::uint8_t* grow(std::size_t n) {
+    if (buf_.size() - len_ < n) {
+      buf_.resize(std::max(2 * buf_.size(), len_ + n));
+    }
+    std::uint8_t* p = buf_.data() + len_;
+    len_ += n;
+    return p;
+  }
+
   std::vector<std::uint8_t> buf_;
+  std::size_t len_ = 0;  ///< bytes written; buf_ beyond this is spare
   bool failed_ = false;
 };
 
@@ -72,26 +107,20 @@ class ByteReader {
     return data_[pos_++];
   }
   [[nodiscard]] std::optional<std::uint16_t> u16() {
-    if (pos_ + 2 > data_.size()) return std::nullopt;
-    std::uint16_t v = 0;
-    for (int i = 0; i < 2; ++i) v = static_cast<std::uint16_t>((v << 8) | data_[pos_++]);
-    return v;
+    return get_be<std::uint16_t>();
   }
   [[nodiscard]] std::optional<std::uint32_t> u32() {
-    if (pos_ + 4 > data_.size()) return std::nullopt;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v = (v << 8) | data_[pos_++];
-    return v;
+    return get_be<std::uint32_t>();
   }
   [[nodiscard]] std::optional<std::uint64_t> u64() {
-    if (pos_ + 8 > data_.size()) return std::nullopt;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v = (v << 8) | data_[pos_++];
-    return v;
+    return get_be<std::uint64_t>();
   }
+  /// The next `n` bytes, or nullopt when fewer remain.  A count read off
+  /// the wire is bounded here, against the bytes actually present, before
+  /// anything is sized from it.
   [[nodiscard]] std::optional<std::span<const std::uint8_t>> bytes(
       std::size_t n) {
-    if (pos_ + n > data_.size()) return std::nullopt;
+    if (n > remaining()) return std::nullopt;
     auto out = data_.subspan(pos_, n);
     pos_ += n;
     return out;
@@ -106,6 +135,14 @@ class ByteReader {
   [[nodiscard]] bool exhausted() const { return remaining() == 0; }
 
  private:
+  template <typename T>
+  [[nodiscard]] std::optional<T> get_be() {
+    if (sizeof(T) > remaining()) return std::nullopt;
+    const T v = load_be<T>(data_.data() + pos_);
+    pos_ += sizeof(T);
+    return v;
+  }
+
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
 };

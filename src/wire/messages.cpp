@@ -1,12 +1,15 @@
 #include "wire/messages.hpp"
 
+#include <cassert>
+
 namespace rofl::wire::msg {
 namespace {
 
 // ---- per-type payload encoders ---------------------------------------------
-// Each writes only the payload bytes; packet framing (header + CRC) is added
-// by Packet::encode.  All counts ride u16 fields and are range-checked by the
-// caller before these run.
+// Each writes only the payload bytes, into the frame buffer encode_control
+// has already written the header into.  All counts ride u16 fields; the
+// caller has refused any message whose payload outgrows its u16 length,
+// which bounds every count too.
 
 void put(ByteWriter& w, const JoinRequest& m) {
   w.u64(m.nonce);
@@ -91,7 +94,8 @@ void put(ByteWriter& w, const RingMerge& m) {
 }
 
 // ---- per-type payload decoders ---------------------------------------------
-// Every field read is checked; the shared decode_control wrapper additionally
+// Every field read is checked, and every count is bounded against the bytes
+// left before anything is sized from it; decode_payload additionally
 // requires the payload to be fully consumed.
 
 std::optional<ControlMessage> get_join_request(ByteReader& r) {
@@ -105,17 +109,19 @@ std::optional<ControlMessage> get_join_request(ByteReader& r) {
   if (!nonce || !gateway || !host_class || !strategy || !key || !count) {
     return std::nullopt;
   }
+  const auto fingers = r.bytes(std::size_t{*count} * 6);
+  if (!fingers) return std::nullopt;
   m.nonce = *nonce;
   m.gateway = *gateway;
   m.host_class = *host_class;
   m.strategy = *strategy;
   std::copy(key->begin(), key->end(), m.public_key.begin());
-  m.fingers.reserve(*count);
-  for (std::uint16_t i = 0; i < *count; ++i) {
-    const auto prefix = r.u32();
-    const auto home = r.u16();
-    if (!prefix || !home) return std::nullopt;
-    m.fingers.push_back(CompactFinger{*prefix, *home});
+  m.fingers.resize(*count);
+  const std::uint8_t* p = fingers->data();
+  for (CompactFinger& f : m.fingers) {
+    f = CompactFinger{load_be<std::uint32_t>(p),
+                      load_be<std::uint16_t>(p + 4)};
+    p += 6;
   }
   return m;
 }
@@ -126,22 +132,24 @@ std::optional<ControlMessage> get_join_reply(ByteReader& r) {
   const auto pred_host = r.u32();
   const auto nsucc = r.u16();
   if (!pred || !pred_host || !nsucc) return std::nullopt;
+  const auto succ = r.bytes(std::size_t{*nsucc} * 20);
+  const auto nmig = r.u16();
+  if (!succ || !nmig) return std::nullopt;
+  const auto mig = r.bytes(std::size_t{*nmig} * 16);
+  if (!mig) return std::nullopt;
   m.predecessor = *pred;
   m.predecessor_host = *pred_host;
-  m.successors.reserve(*nsucc);
-  for (std::uint16_t i = 0; i < *nsucc; ++i) {
-    const auto target = read_node_id(r);
-    const auto home = r.u32();
-    if (!target || !home) return std::nullopt;
-    m.successors.push_back(FingerField{*target, *home});
+  m.successors.resize(*nsucc);
+  const std::uint8_t* p = succ->data();
+  for (FingerField& s : m.successors) {
+    s = FingerField{load_node_id(p), load_be<std::uint32_t>(p + 16)};
+    p += 20;
   }
-  const auto nmig = r.u16();
-  if (!nmig) return std::nullopt;
-  m.migrated_ephemerals.reserve(*nmig);
-  for (std::uint16_t i = 0; i < *nmig; ++i) {
-    const auto id = read_node_id(r);
-    if (!id) return std::nullopt;
-    m.migrated_ephemerals.push_back(*id);
+  m.migrated_ephemerals.resize(*nmig);
+  p = mig->data();
+  for (NodeId& id : m.migrated_ephemerals) {
+    id = load_node_id(p);
+    p += 16;
   }
   return m;
 }
@@ -222,17 +230,6 @@ std::optional<ControlMessage> get_label_teardown(ByteReader& r) {
   return LabelTeardown{*dest, *label, *reason};
 }
 
-bool counts_fit(const ControlMessage& m) {
-  if (const auto* jr = std::get_if<JoinRequest>(&m)) {
-    return jr->fingers.size() <= 0xFFFF;
-  }
-  if (const auto* jp = std::get_if<JoinReply>(&m)) {
-    return jp->successors.size() <= 0xFFFF &&
-           jp->migrated_ephemerals.size() <= 0xFFFF;
-  }
-  return true;
-}
-
 std::size_t payload_size(const ControlMessage& m) {
   struct Sizer {
     std::size_t operator()(const JoinRequest& x) const {
@@ -293,26 +290,31 @@ PacketType type_of(const ControlMessage& m) {
 std::vector<std::uint8_t> encode_control(const ControlMessage& m,
                                          const NodeId& src, const NodeId& dst,
                                          std::uint64_t trace_id) {
-  if (!counts_fit(m) || payload_size(m) > 0xFFFF) return {};
-  ByteWriter w;
+  // Every counted entry is at least 6 bytes, so a count past its u16 field
+  // also pushes the payload past its u16 length: one check refuses both.
+  const std::size_t payload = payload_size(m);
+  if (payload > 0xFFFF) return {};
+  // Header, payload and CRC trailer go into one buffer sized up front: one
+  // allocation per frame, and no payload copied into a second frame.
+  Packet header;
+  header.type = type_of(m);
+  header.source = src;
+  header.destination = dst;
+  header.trace_id = trace_id;
+  ByteWriter w(kFrameOverhead + payload);
+  write_header(w, header);
+  w.u16(static_cast<std::uint16_t>(payload));
   std::visit([&w](const auto& x) { put(w, x); }, m);
-  if (!w.ok()) return {};
-  Packet p;
-  p.type = type_of(m);
-  p.source = src;
-  p.destination = dst;
-  p.trace_id = trace_id;
-  p.payload = w.take();
-  return p.encode();
+  assert(w.size() + 4 == kFrameOverhead + payload);  // payload_size agrees
+  w.u32(crc32(w.data()));
+  return w.take();
 }
 
-std::optional<ControlMessage> decode_control(
-    std::span<const std::uint8_t> frame) {
-  const auto p = Packet::decode(frame);
-  if (!p.has_value()) return std::nullopt;
-  ByteReader r(p->payload);
+std::optional<ControlMessage> decode_payload(
+    PacketType type, std::span<const std::uint8_t> payload) {
+  ByteReader r(payload);
   std::optional<ControlMessage> m;
-  switch (p->type) {
+  switch (type) {
     case PacketType::kJoinRequest: m = get_join_request(r); break;
     case PacketType::kJoinReply: m = get_join_reply(r); break;
     case PacketType::kLocate: m = get_locate(r); break;
@@ -328,6 +330,13 @@ std::optional<ControlMessage> decode_control(
   }
   if (!m.has_value() || !r.exhausted()) return std::nullopt;
   return m;
+}
+
+std::optional<ControlMessage> decode_control(
+    std::span<const std::uint8_t> frame) {
+  const auto p = Packet::decode(frame);
+  if (!p.has_value()) return std::nullopt;
+  return decode_payload(p->type, p->payload);
 }
 
 std::size_t control_wire_size(const ControlMessage& m) {

@@ -157,18 +157,29 @@ using ControlMessage = std::variant<JoinRequest, JoinReply, Locate,
 [[nodiscard]] PacketType type_of(const ControlMessage& m);
 
 /// Encodes `m` into a complete wire frame (packet header + typed payload +
-/// CRC-32 trailer).  Returns an empty vector when any count exceeds its u16
-/// wire limit -- the same explicit-failure contract as Packet::encode();
-/// callers must check and never transmit a zero-byte frame.
+/// CRC-32 trailer), byte-identical to Packet::encode of the same header and
+/// payload, written into one buffer of control_wire_size(m) bytes.  Returns
+/// an empty vector when any count exceeds its u16 wire limit -- the same
+/// explicit-failure contract as Packet::encode(); callers must check and
+/// never transmit a zero-byte frame.
 [[nodiscard]] std::vector<std::uint8_t> encode_control(
     const ControlMessage& m, const NodeId& src, const NodeId& dst,
     std::uint64_t trace_id = 0);
 
 /// Decodes a frame produced by encode_control: Packet::decode (CRC verified)
-/// followed by the per-type payload codec.  Returns nullopt on any
-/// corruption, truncation, unknown type, or trailing payload bytes.
+/// followed by decode_payload.  Returns nullopt on any corruption,
+/// truncation, unknown type, or trailing payload bytes.
 [[nodiscard]] std::optional<ControlMessage> decode_control(
     std::span<const std::uint8_t> frame);
+
+/// Parses the payload of an already decoded (CRC-verified) packet of type
+/// `type`.  A receiver that needs the header too calls Packet::decode once
+/// and then this, so each frame's CRC is checked and its header parsed
+/// exactly once.  Returns nullopt for a type without a control codec, a
+/// short or over-long payload, or a count claiming more entries than the
+/// payload holds.
+[[nodiscard]] std::optional<ControlMessage> decode_payload(
+    PacketType type, std::span<const std::uint8_t> payload);
 
 /// Exact frame size encode_control would produce, without materializing it.
 /// Used on the data path and in bulk accounting where the bytes themselves

@@ -116,8 +116,22 @@ struct Packet {
   friend bool operator==(const Packet&, const Packet&) = default;
 };
 
+/// CRC-32 of `data`: IEEE 802.3, reflected polynomial 0xEDB88320, initial
+/// value and final xor 0xFFFFFFFF ("123456789" -> 0xCBF43926).  Every frame
+/// ends with this checksum over all bytes before it.
+[[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> data);
+
+/// Writes the header of `p` -- every field before the payload length -- in
+/// the one layout Packet::encode and msg::encode_control share.  The
+/// caller has range-checked the as_path and finger counts.
+void write_header(ByteWriter& w, const Packet& p);
+
 /// Serializes a NodeId (16 bytes, big-endian).
 void write_node_id(ByteWriter& w, const NodeId& id);
 [[nodiscard]] std::optional<NodeId> read_node_id(ByteReader& r);
+/// A NodeId from 16 bytes at `p` that the caller has bounds-checked.
+[[nodiscard]] inline NodeId load_node_id(const std::uint8_t* p) {
+  return NodeId{load_be<std::uint64_t>(p), load_be<std::uint64_t>(p + 8)};
+}
 
 }  // namespace rofl::wire
