@@ -96,7 +96,9 @@ MeshAuditReport audit_ring(
     const std::vector<std::pair<RouterId, Vnode>>& collected,
     std::vector<std::pair<NodeId, RouterId>> expected);
 
-/// Runs a loopback or in-process-UDP mesh to convergence (or the deadline).
+/// Runs a loopback or in-process-UDP mesh through its phases -- the join
+/// storm, then the lookups, then the departure, each to quiescence or the
+/// deadline -- and returns the merged metrics and the ring audit.
 MeshResult run_mesh(const MeshConfig& cfg);
 
 /// Spawn mode driver: forks `cfg.routers` worker processes of `exe` (each

@@ -45,13 +45,9 @@ namespace rofl::net {
 /// One ring-resident virtual node homed on this router (the core's own).
 using Vnode = proto::Vnode;
 
-struct LiveRouterConfig {
-  RouterId self = 0;
-  RouterId bootstrap = 0;          ///< where fresh locate walks start
-  std::uint32_t fingers = 256;     ///< CompactFingers per JoinRequest (6.3)
-  std::uint32_t max_outstanding = 8;  ///< concurrent joins per gateway
-  sim::RetryPolicy retry{/*max_attempts=*/10, /*timeout_ms=*/40.0,
-                         /*backoff=*/1.6, /*max_timeout_ms=*/500.0};
+/// The core's configuration (self, bootstrap, fingers, outstanding cap,
+/// retry policy) plus what the driver adds at the socket boundary.
+struct LiveRouterConfig : proto::CoreConfig {
   /// Netem-style impairment applied at this router's socket boundary.
   sim::NetworkConditions conditions;
   std::uint64_t fault_seed = 1;

@@ -87,7 +87,12 @@ void Core::send_control(RouterId dst, const msg::ControlMessage& m,
   std::vector<std::uint8_t> frame =
       msg::encode_control(m, src, dst_id, trace_id);
   if (frame.empty()) return;  // over a u16 wire limit; never transmit
-  const auto it = per_type_.find(static_cast<std::uint8_t>(msg::type_of(m)));
+  send_frame(dst, msg::type_of(m), std::move(frame), now_ms);
+}
+
+void Core::send_frame(RouterId dst, PacketType type,
+                      std::vector<std::uint8_t> frame, double now_ms) {
+  const auto it = per_type_.find(static_cast<std::uint8_t>(type));
   if (it != per_type_.end()) {
     obs::Registry& reg = env_.metrics();
     reg.add(it->second.msgs);
@@ -96,48 +101,69 @@ void Core::send_control(RouterId dst, const msg::ControlMessage& m,
   env_.send(dst, std::move(frame), now_ms);
 }
 
-void Core::start_locate(JoinTask& t, RouterId at, double now_ms) {
-  t.st = JoinTask::St::kLocating;
-  t.locate_at = at;
-  t.timeout_ms = cfg_.retry.timeout_ms;
-  t.deadline_ms = now_ms + t.timeout_ms;
-  arm(t.deadline_ms);
-  msg::Locate loc;
-  loc.target = t.target;
-  loc.purpose = 0;
-  send_control(at, loc, router_label(cfg_.self), t.target, t.nonce, now_ms);
+void Core::arm(Retransmit& r, RouterId dst, double now_ms) {
+  r.dst = dst;
+  r.attempt = 0;
+  r.timeout_ms = cfg_.retry.timeout_ms;
+  r.deadline_ms = now_ms + r.timeout_ms;
+  env_.on_timer_armed(r.deadline_ms);
 }
 
-void Core::send_join_request(JoinTask& t, double now_ms) {
-  msg::JoinRequest jr;
-  jr.nonce = t.nonce;
-  jr.gateway = cfg_.self;
-  jr.public_key = t.ident.public_key();
-  jr.fingers = make_fingers(cfg_.fingers, t.target);
-  send_control(t.join_to, jr, router_label(cfg_.self), t.target, t.nonce,
+bool Core::backoff(Retransmit& r, bool may_exhaust, double now_ms) {
+  ++r.attempt;
+  if (may_exhaust && r.attempt >= cfg_.retry.max_attempts) {
+    env_.note_retry_exhausted();
+    return false;
+  }
+  env_.metrics().add(retrans_);
+  env_.note_retry();
+  r.timeout_ms = cfg_.retry.next_timeout(r.timeout_ms);
+  r.deadline_ms = now_ms + r.timeout_ms;
+  env_.on_timer_armed(r.deadline_ms);
+  return true;
+}
+
+void Core::start(Task& t, Task::St st, RouterId dst, double now_ms) {
+  t.st = st;
+  arm(t.retx, dst, now_ms);
+  send_task(t, now_ms);
+}
+
+void Core::send_task(const Task& t, double now_ms) {
+  if (t.st == Task::St::kJoining) {
+    msg::JoinRequest jr;
+    jr.nonce = t.nonce;
+    jr.gateway = cfg_.self;
+    jr.public_key = t.key;
+    jr.fingers = make_fingers(cfg_.fingers, t.target);
+    send_control(t.retx.dst, jr, router_label(cfg_.self), t.target, t.nonce,
+                 now_ms);
+    return;
+  }
+  msg::Locate loc;
+  loc.target = t.target;
+  loc.purpose = t.purpose;
+  send_control(t.retx.dst, loc, router_label(cfg_.self), t.target, t.nonce,
                now_ms);
 }
 
-void Core::start_lookup(LookupTask& t, RouterId at, double now_ms) {
-  t.at = at;
-  t.timeout_ms = cfg_.retry.timeout_ms;
-  t.deadline_ms = now_ms + t.timeout_ms;
-  arm(t.deadline_ms);
-  msg::Locate loc;
-  loc.target = t.target;
-  loc.purpose = 2;  // data-plane probe
-  send_control(at, loc, router_label(cfg_.self), t.target, t.nonce, now_ms);
+void Core::post(AckBook& book, RouterId dst, const NodeId& subject,
+                msg::ControlMessage m, double now_ms) {
+  const std::uint64_t nonce = next_nonce();
+  PendingAck a{subject, std::move(m), {}};
+  arm(a.retx, dst, now_ms);
+  send_pending(nonce, a, now_ms);
+  book.emplace(nonce, std::move(a));
 }
 
-Core::JoinTask* Core::join_by_nonce(std::uint64_t nonce) {
-  for (JoinTask& t : active_) {
-    if (t.nonce == nonce) return &t;
-  }
-  return nullptr;
+void Core::send_pending(std::uint64_t nonce, const PendingAck& a,
+                        double now_ms) {
+  send_control(a.retx.dst, a.msg, router_label(cfg_.self), a.subject, nonce,
+               now_ms);
 }
 
-Core::LookupTask* Core::lookup_by_nonce(std::uint64_t nonce) {
-  for (LookupTask& t : lookups_) {
+Core::Task* Core::by_nonce(std::vector<Task>& tasks, std::uint64_t nonce) {
+  for (Task& t : tasks) {
     if (t.nonce == nonce) return &t;
   }
   return nullptr;
@@ -148,27 +174,6 @@ Vnode* Core::best_predecessor(const NodeId& target) {
       vnodes_.begin(), vnodes_.end(), target,
       [](const auto& kv) -> const NodeId& { return kv.first; });
   return it == vnodes_.end() ? nullptr : &it->second;
-}
-
-void Core::schedule_install(RouterId dst, const NodeId& subject,
-                            const NodeId& neighbor, RouterId neighbor_owner,
-                            double now_ms) {
-  // Deliberately no self-delivery shortcut: even when dst == self the
-  // subject vnode may not be resident yet (its JoinReply is still in this
-  // router's own transport queue), so the install must go through the same
-  // retry-until-acked path as the remote case.
-  const std::uint64_t nonce = next_nonce();
-  PendingInstall pi;
-  pi.dst = dst;
-  pi.msg.subject = subject;
-  pi.msg.neighbor = neighbor;
-  pi.msg.neighbor_host = neighbor_owner;
-  pi.msg.op = 1;  // set-predecessor
-  pi.timeout_ms = cfg_.retry.timeout_ms;
-  pi.deadline_ms = now_ms + pi.timeout_ms;
-  arm(pi.deadline_ms);
-  send_control(dst, pi.msg, router_label(cfg_.self), subject, nonce, now_ms);
-  installs_.emplace(nonce, std::move(pi));
 }
 
 void Core::answer_locate(RouterId requester, const NodeId& target,
@@ -247,11 +252,7 @@ void Core::on_join_request(const Packet& pkt, const msg::JoinRequest& m,
   // spliced gets the cached JoinReply verbatim.
   const auto cached = join_cache_.find(target);
   if (cached != join_cache_.end()) {
-    const auto it =
-        per_type_.find(static_cast<std::uint8_t>(PacketType::kJoinReply));
-    reg.add(it->second.msgs);
-    reg.add(it->second.bytes, cached->second.size());
-    env_.send(requester, cached->second, now_ms);
+    send_frame(requester, PacketType::kJoinReply, cached->second, now_ms);
     return;
   }
   Vnode* p = best_predecessor(target);
@@ -279,26 +280,30 @@ void Core::on_join_request(const Packet& pkt, const msg::JoinRequest& m,
       make_join_reply(p->id, cfg_.self, std::span(&old_succ, 1), target);
   std::vector<std::uint8_t> frame = msg::encode_control(
       reply, router_label(cfg_.self), target, pkt.trace_id);
-  const auto it =
-      per_type_.find(static_cast<std::uint8_t>(PacketType::kJoinReply));
-  reg.add(it->second.msgs);
-  reg.add(it->second.bytes, frame.size());
-  env_.send(requester, frame, now_ms);
+  send_frame(requester, PacketType::kJoinReply, frame, now_ms);
   join_cache_[target] = std::move(frame);
 
-  // Tell the old successor its predecessor changed (reliable, acked).
-  schedule_install(old_succ.owner, old_succ.id, target, requester, now_ms);
+  // Tell the old successor its predecessor changed (reliable, acked).  No
+  // self-delivery shortcut even when the old successor is resident here: the
+  // subject's own JoinReply may still sit in this router's transport queue,
+  // so the install takes the same retry-until-acked path as a remote one.
+  msg::PointerInstall install;
+  install.subject = old_succ.id;
+  install.neighbor = target;
+  install.neighbor_host = requester;
+  install.op = 1;  // set-predecessor
+  post(installs_, old_succ.owner, old_succ.id, install, now_ms);
 }
 
 void Core::on_join_reply(const Packet& pkt, const msg::JoinReply& m,
                          double now_ms) {
-  JoinTask* t = join_by_nonce(pkt.trace_id);
-  if (t == nullptr || t->st != JoinTask::St::kJoining) return;  // stale
+  Task* t = by_nonce(joins_, pkt.trace_id);
+  if (t == nullptr || t->st != Task::St::kJoining) return;  // stale
   if (m.successors.empty()) {
     // Redirect: re-locate from the router the splicer pointed us at.
     env_.metrics().add(redirects_);
-    t->attempt = 0;
-    start_locate(*t, static_cast<RouterId>(m.predecessor_host), now_ms);
+    start(*t, Task::St::kLocating, static_cast<RouterId>(m.predecessor_host),
+          now_ms);
     return;
   }
   Vnode v;
@@ -311,24 +316,18 @@ void Core::on_join_reply(const Packet& pkt, const msg::JoinReply& m,
   ++joins_completed_;
   env_.metrics().add(joins_done_id_);
   env_.metrics().observe(join_latency_, now_ms - t->started_ms);
-  active_.erase(active_.begin() + (t - active_.data()));
+  joins_.erase(joins_.begin() + (t - joins_.data()));
 }
 
 void Core::on_pointer_install(const Packet& pkt, const msg::PointerInstall& m,
                               double now_ms) {
   if (m.op == 2) {  // locate answer (join walk or lookup probe)
-    if (JoinTask* t = join_by_nonce(pkt.trace_id)) {
-      if (t->st != JoinTask::St::kLocating) return;  // stale
-      t->st = JoinTask::St::kJoining;
-      t->join_to = m.neighbor_host;
-      t->attempt = 0;
-      t->timeout_ms = cfg_.retry.timeout_ms;
-      t->deadline_ms = now_ms + t->timeout_ms;
-      arm(t->deadline_ms);
-      send_join_request(*t, now_ms);
+    if (Task* t = by_nonce(joins_, pkt.trace_id)) {
+      if (t->st != Task::St::kLocating) return;  // stale
+      start(*t, Task::St::kJoining, m.neighbor_host, now_ms);
       return;
     }
-    LookupTask* l = lookup_by_nonce(pkt.trace_id);
+    Task* l = by_nonce(lookups_, pkt.trace_id);
     if (l == nullptr) return;  // stale
     ++lookups_completed_;
     obs::Registry& reg = env_.metrics();
@@ -411,37 +410,19 @@ void Core::begin_leave(double now_ms) {
   for (const LeaveRelink& r : boundary) {
     env_.metrics().add(leave_relinks_, 2);
     // Surviving successor's predecessor jumps back over the departing run...
-    {
-      const std::uint64_t nonce = next_nonce();
-      PendingRelink pr;
-      pr.dst = r.succ.owner;
-      pr.msg.subject = r.succ.id;
-      pr.msg.neighbor = r.pred.id;
-      pr.msg.neighbor_host = r.pred.owner;
-      pr.msg.op = 1;  // predecessor-set
-      pr.timeout_ms = cfg_.retry.timeout_ms;
-      pr.deadline_ms = now_ms + pr.timeout_ms;
-      arm(pr.deadline_ms);
-      send_control(pr.dst, pr.msg, router_label(cfg_.self), r.succ.id, nonce,
-                   now_ms);
-      relinks_.emplace(nonce, std::move(pr));
-    }
+    msg::Repair to_succ;
+    to_succ.subject = r.succ.id;
+    to_succ.neighbor = r.pred.id;
+    to_succ.neighbor_host = r.pred.owner;
+    to_succ.op = 1;  // predecessor-set
+    post(relinks_, r.succ.owner, r.succ.id, to_succ, now_ms);
     // ...and the surviving predecessor's successor jumps forward over it.
-    {
-      const std::uint64_t nonce = next_nonce();
-      PendingRelink pr;
-      pr.dst = r.pred.owner;
-      pr.msg.subject = r.pred.id;
-      pr.msg.neighbor = r.succ.id;
-      pr.msg.neighbor_host = r.succ.owner;
-      pr.msg.op = 0;  // successor-set
-      pr.timeout_ms = cfg_.retry.timeout_ms;
-      pr.deadline_ms = now_ms + pr.timeout_ms;
-      arm(pr.deadline_ms);
-      send_control(pr.dst, pr.msg, router_label(cfg_.self), r.pred.id, nonce,
-                   now_ms);
-      relinks_.emplace(nonce, std::move(pr));
-    }
+    msg::Repair to_pred;
+    to_pred.subject = r.pred.id;
+    to_pred.neighbor = r.succ.id;
+    to_pred.neighbor_host = r.succ.owner;
+    to_pred.op = 0;  // successor-set
+    post(relinks_, r.pred.owner, r.pred.id, to_pred, now_ms);
   }
   if (relinks_.empty()) {
     // No survivor to notify (the whole ring was resident here, or nothing
@@ -485,130 +466,78 @@ void Core::on_frame(std::span<const std::uint8_t> frame, double now_ms) {
 }
 
 void Core::tick(double now_ms) {
-  obs::Registry& reg = env_.metrics();
-
   // Start queued joins up to the outstanding cap.
-  while (active_.size() < cfg_.max_outstanding && !queued_.empty()) {
-    JoinTask t(std::move(queued_.front()));
+  while (joins_.size() < cfg_.max_outstanding && !queued_.empty()) {
+    Task t;
+    t.target = queued_.front().id();
+    t.key = queued_.front().public_key();
     queued_.pop_front();
-    t.target = t.ident.id();
     t.nonce = next_nonce();
     t.started_ms = now_ms;
-    active_.push_back(std::move(t));
-    start_locate(active_.back(), cfg_.bootstrap, now_ms);
+    joins_.push_back(t);
+    start(joins_.back(), Task::St::kLocating, cfg_.bootstrap, now_ms);
   }
   // And queued lookups; probes start at this router -- the natural
   // data-plane entry point -- and walk greedily from local ring state.
   while (lookups_.size() < cfg_.max_outstanding && !queued_lookups_.empty()) {
-    LookupTask t;
+    Task t;
+    t.purpose = 2;  // data-plane probe
     t.target = queued_lookups_.front();
     queued_lookups_.pop_front();
     t.nonce = next_nonce();
     t.started_ms = now_ms;
     lookups_.push_back(t);
-    start_lookup(lookups_.back(), cfg_.self, now_ms);
+    start(lookups_.back(), Task::St::kLocating, cfg_.self, now_ms);
   }
 
-  // Retry timers.
-  for (JoinTask& t : active_) {
-    if (now_ms < t.deadline_ms) continue;
-    ++t.attempt;
-    if (t.attempt >= cfg_.retry.max_attempts) {
-      // Give up on this walk entirely and restart from the bootstrap.
-      env_.note_retry_exhausted();
-      t.attempt = 0;
-      start_locate(t, cfg_.bootstrap, now_ms);
-      continue;
-    }
-    reg.add(retrans_);
-    env_.note_retry();
-    t.timeout_ms = cfg_.retry.next_timeout(t.timeout_ms);
-    t.deadline_ms = now_ms + t.timeout_ms;
-    arm(t.deadline_ms);
-    if (t.st == JoinTask::St::kLocating) {
-      msg::Locate loc;
-      loc.target = t.target;
-      send_control(t.locate_at, loc, router_label(cfg_.self), t.target,
-                   t.nonce, now_ms);
-    } else {
-      send_join_request(t, now_ms);
+  // Retry timers.  A walk out of attempts restarts from the bootstrap -- it
+  // may have died on a router this gateway cannot see.  A splice never
+  // does: its JoinRequest may already have spliced the id in, and a fresh
+  // walk could splice it a second time elsewhere, so it keeps retrying the
+  // splicer, whose cached reply makes the retry idempotent.  Acked messages
+  // retry until acked.
+  for (std::vector<Task>* tasks : {&joins_, &lookups_}) {
+    for (Task& t : *tasks) {
+      if (now_ms < t.retx.deadline_ms) continue;
+      if (backoff(t.retx, t.st == Task::St::kLocating, now_ms)) {
+        send_task(t, now_ms);
+      } else {
+        start(t, Task::St::kLocating, cfg_.bootstrap, now_ms);
+      }
     }
   }
-  for (LookupTask& t : lookups_) {
-    if (now_ms < t.deadline_ms) continue;
-    ++t.attempt;
-    if (t.attempt >= cfg_.retry.max_attempts) {
-      // Restart the probe from the bootstrap -- the walk itself may have
-      // died on a router this gateway cannot see.
-      env_.note_retry_exhausted();
-      t.attempt = 0;
-      start_lookup(t, cfg_.bootstrap, now_ms);
-      continue;
+  for (AckBook* book : {&installs_, &relinks_}) {
+    for (auto& [nonce, a] : *book) {
+      if (now_ms < a.retx.deadline_ms) continue;
+      backoff(a.retx, /*may_exhaust=*/false, now_ms);
+      send_pending(nonce, a, now_ms);
     }
-    reg.add(retrans_);
-    env_.note_retry();
-    t.timeout_ms = cfg_.retry.next_timeout(t.timeout_ms);
-    t.deadline_ms = now_ms + t.timeout_ms;
-    arm(t.deadline_ms);
-    msg::Locate loc;
-    loc.target = t.target;
-    loc.purpose = 2;
-    send_control(t.at, loc, router_label(cfg_.self), t.target, t.nonce,
-                 now_ms);
-  }
-  for (auto& [nonce, pi] : installs_) {
-    if (now_ms < pi.deadline_ms) continue;
-    ++pi.attempt;
-    reg.add(retrans_);
-    env_.note_retry();
-    pi.timeout_ms = cfg_.retry.next_timeout(pi.timeout_ms);
-    pi.deadline_ms = now_ms + pi.timeout_ms;
-    arm(pi.deadline_ms);
-    send_control(pi.dst, pi.msg, router_label(cfg_.self), pi.msg.subject,
-                 nonce, now_ms);
-  }
-  for (auto& [nonce, pr] : relinks_) {
-    if (now_ms < pr.deadline_ms) continue;
-    ++pr.attempt;
-    reg.add(retrans_);
-    env_.note_retry();
-    pr.timeout_ms = cfg_.retry.next_timeout(pr.timeout_ms);
-    pr.deadline_ms = now_ms + pr.timeout_ms;
-    arm(pr.deadline_ms);
-    send_control(pr.dst, pr.msg, router_label(cfg_.self), pr.msg.subject,
-                 nonce, now_ms);
   }
 }
 
 void Core::debug_dump(std::ostream& os) const {
   os << "router " << cfg_.self << ": vnodes=" << vnodes_.size()
-     << " queued=" << queued_.size() << " active=" << active_.size()
+     << " queued=" << queued_.size() << " active=" << joins_.size()
      << " installs=" << installs_.size() << " lookups=" << lookups_.size()
      << " relinks=" << relinks_.size()
      << (leaving_ ? (departed_ ? " departed" : " leaving") : "") << "\n";
-  for (const JoinTask& t : active_) {
-    os << "  task nonce=" << std::hex << t.nonce << std::dec << " target="
-       << t.target.to_string().substr(0, 8)
-       << (t.st == JoinTask::St::kLocating ? " LOCATING at=" : " JOINING to=")
-       << (t.st == JoinTask::St::kLocating ? t.locate_at : t.join_to)
-       << " attempt=" << t.attempt << " timeout=" << t.timeout_ms << "\n";
+  for (const std::vector<Task>* tasks : {&joins_, &lookups_}) {
+    for (const Task& t : *tasks) {
+      os << "  " << (t.purpose == 2 ? "lookup" : "task") << " nonce="
+         << std::hex << t.nonce << std::dec
+         << " target=" << t.target.to_string().substr(0, 8)
+         << (t.st == Task::St::kLocating ? " LOCATING at=" : " JOINING to=")
+         << t.retx.dst << " attempt=" << t.retx.attempt
+         << " timeout=" << t.retx.timeout_ms << "\n";
+    }
   }
-  for (const LookupTask& t : lookups_) {
-    os << "  lookup nonce=" << std::hex << t.nonce << std::dec << " target="
-       << t.target.to_string().substr(0, 8) << " at=" << t.at
-       << " attempt=" << t.attempt << "\n";
-  }
-  for (const auto& [nonce, pi] : installs_) {
-    os << "  install nonce=" << std::hex << nonce << std::dec << " dst="
-       << pi.dst << " subject=" << pi.msg.subject.to_string().substr(0, 8)
-       << " neighbor=" << pi.msg.neighbor.to_string().substr(0, 8)
-       << " attempt=" << pi.attempt << "\n";
-  }
-  for (const auto& [nonce, pr] : relinks_) {
-    os << "  relink nonce=" << std::hex << nonce << std::dec << " dst="
-       << pr.dst << " subject=" << pr.msg.subject.to_string().substr(0, 8)
-       << " neighbor=" << pr.msg.neighbor.to_string().substr(0, 8)
-       << " op=" << int(pr.msg.op) << " attempt=" << pr.attempt << "\n";
+  for (const AckBook* book : {&installs_, &relinks_}) {
+    for (const auto& [nonce, a] : *book) {
+      os << "  " << (book == &installs_ ? "install" : "relink") << " nonce="
+         << std::hex << nonce << std::dec << " dst=" << a.retx.dst
+         << " subject=" << a.subject.to_string().substr(0, 8)
+         << " attempt=" << a.retx.attempt << "\n";
+    }
   }
 }
 

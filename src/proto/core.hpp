@@ -105,7 +105,7 @@ class Core {
   /// True when no queued or in-flight work remains (joins, lookups,
   /// installs, leave relinks).
   [[nodiscard]] bool quiescent() const {
-    return queued_.empty() && active_.empty() && installs_.empty() &&
+    return queued_.empty() && joins_.empty() && installs_.empty() &&
            queued_lookups_.empty() && lookups_.empty() && relinks_.empty();
   }
 
@@ -131,55 +131,61 @@ class Core {
   void debug_dump(std::ostream& os) const;
 
  private:
-  struct JoinTask {
-    explicit JoinTask(Identity i) : ident(std::move(i)) {}
-    Identity ident;
-    NodeId target;
-    std::uint64_t nonce = 0;
+  /// One retransmitted exchange: where its current attempt went and its
+  /// back-off state.  Every retried message -- locate walks, JoinRequests,
+  /// lookup probes, pointer installs, departure relinks -- carries one, and
+  /// backoff() is the only code that advances it.
+  struct Retransmit {
+    RouterId dst = 0;
+    unsigned attempt = 0;
+    double timeout_ms = 0.0;
+    double deadline_ms = 0.0;
+  };
+
+  /// A join (locate walk, then the splice JoinRequest) or a data-plane
+  /// lookup (the same locate walk with purpose 2, answered without a
+  /// splice).  A walk restarts from the bootstrap when its attempts run out;
+  /// a splice retries its splicer until answered.
+  struct Task {
     enum class St : std::uint8_t { kLocating, kJoining } st = St::kLocating;
-    RouterId locate_at = 0;  ///< router the current locate was sent to
-    RouterId join_to = 0;    ///< predecessor owner the JoinRequest went to
-    unsigned attempt = 0;
-    double timeout_ms = 0.0;
-    double deadline_ms = 0.0;
-    double started_ms = 0.0;
-  };
-
-  /// A data-plane lookup probe awaiting its op=2 answer.
-  struct LookupTask {
+    std::uint8_t purpose = 0;  ///< Locate purpose: 0 join walk, 2 lookup
     NodeId target;
+    PublicKey key{};  ///< the joiner's key (joins only)
     std::uint64_t nonce = 0;
-    RouterId at = 0;  ///< router the current probe was sent to
-    unsigned attempt = 0;
-    double timeout_ms = 0.0;
-    double deadline_ms = 0.0;
     double started_ms = 0.0;
+    Retransmit retx;
   };
 
-  /// A set-predecessor install awaiting its Keepalive ack.
-  struct PendingInstall {
-    RouterId dst = 0;
-    wire::msg::PointerInstall msg;
-    unsigned attempt = 0;
-    double timeout_ms = 0.0;
-    double deadline_ms = 0.0;
+  /// A message retried until a Keepalive echoes its nonce: a set-predecessor
+  /// PointerInstall or a departure relink (Repair).  Never exhausts.
+  struct PendingAck {
+    NodeId subject;
+    wire::msg::ControlMessage msg;
+    Retransmit retx;
   };
+  using AckBook = std::unordered_map<std::uint64_t, PendingAck>;
 
-  /// A departure relink (Repair) awaiting its Keepalive ack.
-  struct PendingRelink {
-    RouterId dst = 0;
-    wire::msg::Repair msg;
-    unsigned attempt = 0;
-    double timeout_ms = 0.0;
-    double deadline_ms = 0.0;
-  };
-
+  /// Encodes and sends one frame; send_frame keeps the per-type message and
+  /// byte counters for every frame the core emits.
   void send_control(RouterId dst, const wire::msg::ControlMessage& m,
                     const NodeId& src, const NodeId& dst_id,
                     std::uint64_t trace_id, double now_ms);
-  void start_locate(JoinTask& t, RouterId at, double now_ms);
-  void send_join_request(JoinTask& t, double now_ms);
-  void start_lookup(LookupTask& t, RouterId at, double now_ms);
+  void send_frame(RouterId dst, wire::PacketType type,
+                  std::vector<std::uint8_t> frame, double now_ms);
+  /// Opens a fresh retransmission window toward `dst` and arms its deadline.
+  void arm(Retransmit& r, RouterId dst, double now_ms);
+  /// Backs off an expired record: counts the retransmission and re-arms with
+  /// the next timeout, or -- when `may_exhaust` and the attempts are spent --
+  /// reports exhaustion and returns false so the caller restarts it.
+  bool backoff(Retransmit& r, bool may_exhaust, double now_ms);
+  /// (Re)starts a task's exchange in state `st` toward `dst` and sends it.
+  void start(Task& t, Task::St st, RouterId dst, double now_ms);
+  /// Sends a task's current attempt: its Locate, or its JoinRequest.
+  void send_task(const Task& t, double now_ms);
+  /// Sends `m` to `dst` and retries it until acked.
+  void post(AckBook& book, RouterId dst, const NodeId& subject,
+            wire::msg::ControlMessage m, double now_ms);
+  void send_pending(std::uint64_t nonce, const PendingAck& a, double now_ms);
   void on_locate(const wire::Packet& pkt, const wire::msg::Locate& m,
                  double now_ms);
   void on_join_request(const wire::Packet& pkt,
@@ -191,32 +197,27 @@ class Core {
   void on_repair(const wire::Packet& pkt, const wire::msg::Repair& m,
                  double now_ms);
   void on_keepalive(const wire::Packet& pkt, const wire::msg::Keepalive& m);
-  void schedule_install(RouterId dst, const NodeId& subject,
-                        const NodeId& neighbor, RouterId neighbor_owner,
-                        double now_ms);
   void answer_locate(RouterId requester, const NodeId& target,
                      const NodeId& neighbor, RouterId neighbor_owner,
                      std::uint64_t trace_id, double now_ms);
   /// Local vnode with the smallest nonzero clockwise distance to `target`
   /// (proto::closest_predecessor over the resident map); nullptr when none.
   Vnode* best_predecessor(const NodeId& target);
-  JoinTask* join_by_nonce(std::uint64_t nonce);
-  LookupTask* lookup_by_nonce(std::uint64_t nonce);
+  static Task* by_nonce(std::vector<Task>& tasks, std::uint64_t nonce);
   std::uint64_t next_nonce() {
     return (static_cast<std::uint64_t>(cfg_.self) << 40) | ++nonce_counter_;
   }
-  void arm(double deadline_ms) { env_.on_timer_armed(deadline_ms); }
 
   CoreConfig cfg_;
   Env& env_;
 
   std::map<NodeId, Vnode> vnodes_;
   std::deque<Identity> queued_;
-  std::vector<JoinTask> active_;
+  std::vector<Task> joins_;
   std::deque<NodeId> queued_lookups_;
-  std::vector<LookupTask> lookups_;
-  std::unordered_map<std::uint64_t, PendingInstall> installs_;
-  std::unordered_map<std::uint64_t, PendingRelink> relinks_;
+  std::vector<Task> lookups_;
+  AckBook installs_;
+  AckBook relinks_;
   /// Encoded JoinReply per spliced id: the idempotent re-reply for
   /// retransmitted JoinRequests.
   std::unordered_map<NodeId, std::vector<std::uint8_t>> join_cache_;

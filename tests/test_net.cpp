@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
 #include <thread>
 
 #include "net/loopback.hpp"
@@ -300,6 +301,49 @@ TEST(Mesh, LoopbackCleanLeavePassesAudit) {
                                     : r.audit.errors.front());
   obs::Registry& m = r.metrics;
   EXPECT_GT(m.counter_value(m.counter("net.leave.relinks")), 0u);
+}
+
+TEST(Mesh, LoopbackImpairedRunCountersPinned) {
+  // The impaired loopback run is fully deterministic, so its counters are
+  // pinned exactly: any change to retransmission timing, send order or the
+  // per-type accounting moves at least one of them.
+  MeshConfig cfg;
+  cfg.backend = MeshBackend::kLoopback;
+  cfg.routers = 4;
+  cfg.hosts = 200;
+  cfg.fingers = 8;
+  cfg.seed = 11;
+  cfg.conditions.loss = 0.05;
+  cfg.conditions.duplicate = 0.02;
+  cfg.lookups = 50;
+  cfg.leave_router = 2;
+  MeshResult r = run_mesh(cfg);
+  ASSERT_TRUE(r.converged);
+  EXPECT_TRUE(r.audit.ok());
+  EXPECT_TRUE(r.leave_completed);
+  EXPECT_EQ(r.joins_completed, 199u);
+  EXPECT_EQ(r.lookups_completed, 50u);
+  EXPECT_EQ(r.lookups_hit, 50u);
+  obs::Registry& m = r.metrics;
+  const auto counter = [&m](const std::string& name) {
+    return m.counter_value(m.counter(name));
+  };
+  EXPECT_EQ(counter("net.retrans"), 110u);
+  EXPECT_EQ(counter("net.acks"), 281u);
+  EXPECT_EQ(counter("net.redirects"), 24u);
+  EXPECT_EQ(counter("net.leave.relinks"), 82u);
+  EXPECT_EQ(counter("faults.dropped"), 106u);
+  EXPECT_EQ(counter("faults.duplicated"), 38u);
+  const struct {
+    const char* type;
+    std::uint64_t msgs, bytes;
+  } per_type[] = {{"locate", 695, 49345},         {"join_request", 244, 36600},
+                  {"join_reply", 235, 22510},     {"pointer_install", 519, 47229},
+                  {"keepalive", 292, 18104},      {"repair", 91, 8281}};
+  for (const auto& t : per_type) {
+    EXPECT_EQ(counter(std::string("net.msgs.") + t.type), t.msgs) << t.type;
+    EXPECT_EQ(counter(std::string("net.bytes.") + t.type), t.bytes) << t.type;
+  }
 }
 
 TEST(Mesh, UdpLookupsAndLeaveUnderImpairment) {

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <initializer_list>
 #include <map>
+#include <string>
 #include <memory>
 #include <tuple>
 #include <utility>
@@ -177,15 +178,24 @@ class TestEnv final : public Env {
 };
 
 struct MiniMesh {
-  explicit MiniMesh(std::uint32_t n) {
+  /// `base` carries the knobs a test varies (retry policy); self, bootstrap
+  /// and fingers are set per core.
+  explicit MiniMesh(std::uint32_t n, CoreConfig base = {}) {
     for (std::uint32_t i = 0; i < n; ++i) {
       envs.push_back(std::make_unique<TestEnv>(&bus));
-      CoreConfig cc;
+      CoreConfig cc = base;
       cc.self = i;
       cc.bootstrap = 0;
       cc.fingers = 0;
       cores.push_back(std::make_unique<Core>(cc, *envs[i]));
     }
+  }
+
+  /// Makes the bus drop each frame with probability `p`, drawn from a
+  /// generator seeded with `seed`: a lossy but fully deterministic bus.
+  void set_loss(double p, std::uint64_t seed) {
+    loss = p;
+    drop = Rng(seed);
   }
 
   [[nodiscard]] bool all_quiescent() const {
@@ -195,13 +205,14 @@ struct MiniMesh {
     return true;
   }
 
-  /// Lossless instant delivery on a 0.25 ms virtual clock; returns true on
-  /// quiescence before `limit_ms`.
+  /// Instant delivery (less the seeded drops) on a 0.25 ms virtual clock;
+  /// returns true on quiescence before `limit_ms`.
   bool run(double limit_ms = 10'000.0) {
     while (now < limit_ms) {
       std::vector<BusFrame> pending;
       pending.swap(bus);
       for (BusFrame& f : pending) {
+        if (loss > 0.0 && drop.chance(loss)) continue;
         cores[f.dst]->on_frame(f.bytes, now);
       }
       for (auto& c : cores) c->tick(now);
@@ -233,10 +244,23 @@ struct MiniMesh {
     }
   }
 
+  std::uint64_t total_retries() const {
+    std::uint64_t n = 0;
+    for (const auto& e : envs) n += e->retries;
+    return n;
+  }
+  std::uint64_t total_exhausted() const {
+    std::uint64_t n = 0;
+    for (const auto& e : envs) n += e->exhausted;
+    return n;
+  }
+
   std::vector<BusFrame> bus;
   std::vector<std::unique_ptr<TestEnv>> envs;
   std::vector<std::unique_ptr<Core>> cores;
   double now = 0.0;
+  double loss = 0.0;
+  Rng drop{1};
 };
 
 TEST(ProtoCore, JoinStormOverFrameBus) {
@@ -300,6 +324,83 @@ TEST(ProtoCore, CleanLeaveRepairsSurvivingRing) {
   EXPECT_TRUE(mesh.cores[2]->vnodes().empty());
   // Survivors re-chain into an exact smaller ring.
   mesh.expect_exact_ring();
+}
+
+struct LossyRun {
+  std::uint64_t retries = 0;
+  std::uint64_t join_exhausted = 0;  ///< exhaustions during the join storm
+  std::uint64_t exhausted = 0;       ///< ... and after the lookups
+};
+
+/// The retry paths on a deterministic clock: three cores on a bus dropping
+/// `loss` of its frames (seeded by `seed`), two attempts per exchange.  Joins
+/// 24 hosts, looks every id up, then departs core 2; the ring must be exact
+/// after the storm and after the departure, and every lookup must hit.
+LossyRun run_lossy(double loss, std::uint64_t seed) {
+  CoreConfig base;
+  base.retry.max_attempts = 2;
+  MiniMesh mesh(3, base);
+  mesh.set_loss(loss, seed);
+  Rng rng(20);
+  const Identity seed_ident = Identity::generate(rng);
+  std::vector<NodeId> all_ids = {seed_ident.id()};
+  mesh.cores[0]->seed(seed_ident);
+  for (int i = 0; i < 24; ++i) {
+    Identity ident = Identity::generate(rng);
+    all_ids.push_back(ident.id());
+    mesh.cores[i % 3]->enqueue_join(std::move(ident));
+  }
+  LossyRun out;
+  EXPECT_TRUE(mesh.run(60'000.0));
+  std::uint64_t joins = 0;
+  for (const auto& c : mesh.cores) joins += c->joins_completed();
+  EXPECT_EQ(joins, 24u);
+  mesh.expect_exact_ring();
+  out.join_exhausted = mesh.total_exhausted();
+
+  for (std::size_t i = 0; i < all_ids.size(); ++i) {
+    mesh.cores[i % 3]->enqueue_lookup(all_ids[i]);
+  }
+  EXPECT_TRUE(mesh.run(mesh.now + 60'000.0));
+  std::uint64_t completed = 0, hit = 0;
+  for (const auto& c : mesh.cores) {
+    completed += c->lookups_completed();
+    hit += c->lookups_hit();
+  }
+  EXPECT_EQ(completed, all_ids.size());
+  EXPECT_EQ(hit, completed);
+  out.exhausted = mesh.total_exhausted();
+
+  mesh.cores[2]->begin_leave(mesh.now);
+  EXPECT_TRUE(mesh.run(mesh.now + 60'000.0));
+  EXPECT_TRUE(mesh.cores[2]->departed());
+  mesh.expect_exact_ring();
+  out.retries = mesh.total_retries();
+  return out;
+}
+
+TEST(ProtoCore, LossyBusDrivesRetryAndRestartPaths) {
+  // Retransmission, exhaustion and the restart-from-bootstrap path all run,
+  // for joins and for lookups; installs and relinks retry until acked.
+  const LossyRun r = run_lossy(0.2, 43);
+  EXPECT_GT(r.retries, 0u);
+  EXPECT_GT(r.join_exhausted, 0u);
+  EXPECT_GT(r.exhausted, r.join_exhausted);
+}
+
+TEST(ProtoCore, LossyBusRingExactAcrossSeeds) {
+  // Regression: a join that exhausted its attempts after sending the
+  // JoinRequest used to restart its walk from the bootstrap.  When only the
+  // JoinReply had been lost, the walk found a new predecessor and spliced
+  // the id a second time, breaking the ring.  The splice now retries against
+  // its splicer, whose cached reply makes the retry idempotent.
+  for (const double loss : {0.1, 0.3}) {
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+      SCOPED_TRACE("loss " + std::to_string(loss) + " seed " +
+                   std::to_string(seed));
+      (void)run_lossy(loss, seed);
+    }
+  }
 }
 
 TEST(ProtoCore, LeaveWithNoResidentsDepartsImmediately) {

@@ -2,14 +2,36 @@
 //
 // Runs self-contained experiments from the shell without writing C++:
 //
-//   roflsim topology  [--isp NAME | --internet] [--seed S]
+//   roflsim topology  [--isp NAME | --internet]
 //   roflsim intra     [--isp NAME] [--hosts N] [--routes N] [--cache N]
-//                     [--seed S]
+//                     [--labels]
 //   roflsim inter     [--ids N] [--strategy eph|single|multi|peering]
-//                     [--fingers N] [--bloom] [--routes N] [--seed S]
-//   roflsim partition [--isp NAME] [--ids-per-pop N] [--seed S]
+//                     [--fingers N] [--bloom] [--routes N]
+//   roflsim partition [--isp NAME] [--ids-per-pop N]
+//   roflsim faults    [--isp NAME] [--hosts N] [--churn N] [--loss P]
+//                     [--dup P] [--corrupt P] [--jitter MS] [--flaps N]
+//                     [--labels] [--metrics-json FILE]
+//   roflsim audit     [--routers N] [--pops N] [--events N] [--end MS]
+//                     [--loss P] [--dup P] [--corrupt P]
+//                     [--audit-interval MS] [--settle MS]
+//                     [--initial-hosts N] [--report] [--shrink]
+//                     [--shrink-probes N] [--labels] [--metrics-json FILE]
+//                     [--timeline FILE] [--timeline-window MS]
+//   roflsim shard     [--shards N] [--hosts N] [--ases N] [--duration MS]
+//                     [--tick MS] [--rate HZ] [--slots N] [--lookahead MS]
+//                     [--report] [--metrics] [--profile] [--metrics-json FILE]
+//                     [--timeline FILE] [--timeline-window MS]
+//   roflsim net       [--routers N] [--hosts N] [--fingers N]
+//                     [--backend udp|loopback] [--spawn] [--rate PPS]
+//                     [--loss P] [--dup P] [--corrupt P] [--jitter MS]
+//                     [--deadline-ms MS] [--base-port P] [--outstanding N]
+//                     [--lookups N] [--leave ROUTER] [--metrics]
+//                     [--metrics-json FILE] [--timeline FILE]
+//                     [--timeline-window MS]
+//   roflsim timeline  --file FILE [--metric SUBSTR] [--width N]
 //
-// Observability flags (intra / inter / partition / faults / audit / shard):
+// Every command except `timeline` takes --seed S.  The observability flags
+// of intra / inter / partition / faults:
 //   --trace FILE      write a Chrome trace-event timeline (open in
 //                     https://ui.perfetto.dev or chrome://tracing); with
 //                     --timeline also carries "ph":"C" counter tracks
@@ -154,17 +176,22 @@ double rate_arg(const Args& a, const std::string& key, double dflt) {
   return v;
 }
 
+using SteadyTime = std::chrono::steady_clock::time_point;
+
+double seconds_since(SteadyTime start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
 /// The one-line run summary every command prints at exit.  Wall time and RSS
 /// are host-side observations, so the line goes to stdout only -- never into
 /// --metrics-json files, which the determinism gates byte-compare.
 struct RunSummary {
-  std::chrono::steady_clock::time_point start =
-      std::chrono::steady_clock::now();
+  SteadyTime start = std::chrono::steady_clock::now();
 
   void print(std::uint64_t events) const {
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
+    const double wall = seconds_since(start);
     const double eps =
         wall > 0.0 ? static_cast<double>(events) / wall : 0.0;
     std::cout << "run-summary: events=" << events << " wall=" << std::fixed
@@ -195,19 +222,37 @@ graph::IspTopology isp_from_args(const Args& a, Rng& rng) {
 }
 
 /// Writes a timeline JSONL file: the deterministic window lines followed by
-/// one "run" trailer carrying wall-clock provenance.  Determinism gates
-/// byte-compare these files after dropping the trailer (grep -v '"run"').
+/// one "run" trailer carrying wall-clock provenance (seconds since `start`).
+/// Determinism gates byte-compare these files after dropping the trailer
+/// (grep -v '"run"').
 bool write_timeline_jsonl(const std::string& path, const std::string& jsonl,
-                          double wall_seconds) {
+                          SteadyTime start) {
   std::ofstream out(path);
   if (!out) {
     std::cerr << "cannot write timeline to " << path << "\n";
     return false;
   }
   out << jsonl;
-  out << "{\"run\": {\"wall_seconds\": " << wall_seconds
+  out << "{\"run\": {\"wall_seconds\": " << seconds_since(start)
       << ", \"peak_rss_kb\": " << util::peak_rss_kb() << "}}\n";
   std::cout << "timeline written to " << path << "\n";
+  return true;
+}
+
+/// --metrics-json FILE: writes make_json() there.  Host-side observations
+/// (wall time, RSS) never go in, because the determinism gates cmp these
+/// files byte for byte.  True when the flag is absent or the file written.
+template <class MakeJson>
+bool write_metrics_json(const Args& a, MakeJson&& make_json) {
+  const std::string path = a.str("metrics-json", "");
+  if (path.empty()) return true;
+  std::ofstream out(path);
+  if (!out) {
+    std::cerr << "cannot write " << path << "\n";
+    return false;
+  }
+  out << make_json();
+  std::cout << "metrics written to " << path << "\n";
   return true;
 }
 
@@ -225,8 +270,7 @@ struct ObsSession {
   bool want_trace;
   bool want_route_dump;
   bool want_metrics;
-  std::chrono::steady_clock::time_point start =
-      std::chrono::steady_clock::now();
+  SteadyTime start = std::chrono::steady_clock::now();
 
   explicit ObsSession(const Args& a)
       : trace_path(a.str("trace", "")),
@@ -281,11 +325,7 @@ struct ObsSession {
       }
     }
     if (timeline != nullptr) {
-      const double wall =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      (void)write_timeline_jsonl(timeline_path, timeline->to_jsonl(), wall);
+      (void)write_timeline_jsonl(timeline_path, timeline->to_jsonl(), start);
     }
   }
 };
@@ -617,20 +657,15 @@ int cmd_faults(const Args& a) {
   // faulty phase, not whatever repair did afterwards.  Wall-clock histograms
   // (SPF recompute times) are excluded: they measure host CPU, not simulated
   // behavior, and would break byte-for-byte comparison.
-  const std::string metrics_path = a.str("metrics-json", "");
-  if (!metrics_path.empty()) {
-    std::ofstream out(metrics_path);
-    if (!out) {
-      std::cerr << "cannot write " << metrics_path << "\n";
-      return 1;
-    }
+  const bool metrics_ok = write_metrics_json(a, [&net] {
     std::istringstream in(net.simulator().metrics().to_json(2));
-    std::string line;
+    std::string line, kept;
     while (std::getline(in, line)) {
-      if (line.find("recompute_ms") == std::string::npos) out << line << "\n";
+      if (line.find("recompute_ms") == std::string::npos) kept += line + "\n";
     }
-    std::cout << "metrics written to " << metrics_path << "\n";
-  }
+    return kept;
+  });
+  if (!metrics_ok) return 1;
 
   net.set_fault_injector(nullptr);
   const auto rs = net.repair_partitions();
@@ -733,26 +768,13 @@ int cmd_audit(const Args& a) {
     }
   }
 
-  const std::string metrics_path = a.str("metrics-json", "");
-  if (!metrics_path.empty()) {
-    std::ofstream out(metrics_path);
-    if (!out) {
-      std::cerr << "cannot write " << metrics_path << "\n";
-      return 1;
-    }
-    out << res.metrics_json;
-    std::cout << "metrics written to " << metrics_path << "\n";
-  }
+  if (!write_metrics_json(a, [&res] { return res.metrics_json; })) return 1;
 
   const std::string timeline_path = a.str("timeline", "");
-  if (!timeline_path.empty()) {
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      summary.start)
-            .count();
-    if (!write_timeline_jsonl(timeline_path, res.timeline_jsonl, wall)) {
-      return 1;
-    }
+  if (!timeline_path.empty() &&
+      !write_timeline_jsonl(timeline_path, res.timeline_jsonl,
+                            summary.start)) {
+    return 1;
   }
 
   const bool failed = res.hard > 0 || !res.converged;
@@ -942,25 +964,15 @@ int cmd_net(const Args& a, const char* argv0) {
     std::cout << "\n-- merged metrics --\n";
     m.print_table(std::cout);
   }
-  const std::string metrics_path = a.str("metrics-json", "");
-  if (!metrics_path.empty()) {
-    std::ofstream out(metrics_path);
-    if (!out) {
-      std::cerr << "cannot write " << metrics_path << "\n";
-      return 1;
-    }
-    out << m.to_json(0, /*with_buckets=*/true) << "\n";
-    std::cout << "metrics written to " << metrics_path << "\n";
+  if (!write_metrics_json(
+          a, [&m] { return m.to_json(0, /*with_buckets=*/true) + "\n"; })) {
+    return 1;
   }
   const std::string timeline_path = a.str("timeline", "");
-  if (!timeline_path.empty() && r.timeline != nullptr) {
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      summary.start)
-            .count();
-    if (!write_timeline_jsonl(timeline_path, r.timeline->to_jsonl(), wall)) {
-      return 1;
-    }
+  if (!timeline_path.empty() && r.timeline != nullptr &&
+      !write_timeline_jsonl(timeline_path, r.timeline->to_jsonl(),
+                            summary.start)) {
+    return 1;
   }
   // Every lookup targets a joined id, so a correct mesh serves them all as
   // hits; the departure must have drained every relink ack.
@@ -1035,26 +1047,15 @@ int cmd_shard(const Args& a) {
     model.profiler()->print_table(std::cout);
   }
 
-  const std::string metrics_path = a.str("metrics-json", "");
-  if (!metrics_path.empty()) {
-    std::ofstream out(metrics_path);
-    if (!out) {
-      std::cerr << "cannot write " << metrics_path << "\n";
-      return 1;
-    }
-    out << merged.to_json(0, /*with_buckets=*/true) << "\n";
-    std::cout << "metrics written to " << metrics_path << "\n";
+  if (!write_metrics_json(a, [&merged] {
+        return merged.to_json(0, /*with_buckets=*/true) + "\n";
+      })) {
+    return 1;
   }
-
-  if (!timeline_path.empty()) {
-    const obs::Timeline merged_tl = model.merged_timeline();
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      summary.start)
-            .count();
-    if (!write_timeline_jsonl(timeline_path, merged_tl.to_jsonl(), wall)) {
-      return 1;
-    }
+  if (!timeline_path.empty() &&
+      !write_timeline_jsonl(timeline_path, model.merged_timeline().to_jsonl(),
+                            summary.start)) {
+    return 1;
   }
 
   summary.print(stats.processed);
@@ -1198,23 +1199,28 @@ void usage() {
       "  roflsim faults    [--isp NAME] [--hosts N] [--churn N] [--loss P]\n"
       "                    [--dup P] [--corrupt P] [--jitter MS] [--flaps N]\n"
       "                    [--labels] [--metrics-json FILE]\n"
-      "  roflsim audit     [--routers N] [--pops N] [--events N] [--loss P]\n"
-      "                    [--dup P] [--corrupt P] [--audit-interval MS]\n"
-      "                    [--settle MS]\n"
+      "  roflsim audit     [--routers N] [--pops N] [--events N] [--end MS]\n"
+      "                    [--loss P] [--dup P] [--corrupt P]\n"
+      "                    [--audit-interval MS] [--settle MS]\n"
       "                    [--initial-hosts N] [--report] [--shrink]\n"
       "                    [--shrink-probes N]\n"
       "                    [--labels] [--metrics-json FILE]\n"
+      "                    [--timeline FILE] [--timeline-window MS]\n"
       "  roflsim shard     [--shards N] [--hosts N] [--ases N] [--duration MS]\n"
       "                    [--tick MS] [--rate OPS_PER_HOST_HZ] [--slots N]\n"
       "                    [--lookahead MS] [--report] [--metrics] [--profile]\n"
       "                    [--metrics-json FILE]\n"
+      "                    [--timeline FILE] [--timeline-window MS]\n"
       "  roflsim net       [--routers N] [--hosts N] [--fingers N]\n"
       "                    [--backend udp|loopback] [--spawn] [--rate PPS]\n"
       "                    [--loss P] [--dup P] [--corrupt P] [--jitter MS]\n"
       "                    [--deadline-ms MS] [--base-port P]\n"
-      "                    [--outstanding N] [--metrics] [--metrics-json F]\n"
+      "                    [--outstanding N] [--lookups N] [--leave ROUTER]\n"
+      "                    [--metrics] [--metrics-json F]\n"
+      "                    [--timeline FILE] [--timeline-window MS]\n"
       "  roflsim timeline  --file FILE [--metric SUBSTR] [--width N]\n\n"
-      "All commands accept --seed S (default 1); runs are reproducible.\n"
+      "All commands but `timeline` accept --seed S (default 1); runs are\n"
+      "reproducible.\n"
       "`net` runs the control plane over actual sockets: a live mesh of\n"
       "router event loops (threads, or processes with --spawn) exchanging\n"
       "wire frames over localhost UDP, converging a join storm and auditing\n"
@@ -1222,17 +1228,22 @@ void usage() {
       "mesh single-threaded on a virtual clock (deterministic); with 256\n"
       "fingers and no impairment the run enforces the section 6.3 parity\n"
       "gate: every JoinRequest costs exactly 1638 bytes on the wire.\n"
+      "--lookups N then probes N joined ids over the converged ring (every\n"
+      "one must hit), and --leave ROUTER departs that non-bootstrap router\n"
+      "cleanly; neither combines with --spawn.\n"
       "`shard` runs the per-AS scale model on the sharded parallel simulator;\n"
       "its metrics, flight digest, audit digest, and --timeline file are\n"
       "bit-identical for every --shards value of the same seed (--profile\n"
       "prints the wall-clock busy/stall/idle engine profile per shard).\n"
       "`timeline` renders a --timeline JSONL file as sparkline series.\n"
-      "Observability (intra/inter/partition/faults/audit/shard):\n"
+      "Observability (intra/inter/partition/faults):\n"
       "  --trace FILE        write a Perfetto/chrome://tracing timeline;\n"
       "                      with --timeline it also carries counter tracks\n"
       "  --traceroute        print the hop dump of the last delivered route\n"
       "  --metrics           print the metrics registry after the run\n"
+      "                      (also shard and net)\n"
       "  --timeline FILE     write windowed metric deltas as JSONL\n"
+      "                      (also audit, shard and net)\n"
       "  --timeline-window MS  window width (default 25; shard 50; must be a\n"
       "                      positive number -- 0 is rejected, not defaulted)\n"
       "  --labels            label-switched fast path for established flows\n"
