@@ -351,7 +351,7 @@ void BM_HopDecisionLabeled(benchmark::State& state) {
   for (int i = 0; i < 4096; ++i) {
     labels.push_back(table.install(NodeId(rng.next_u64(), rng.next_u64()),
                                    static_cast<graph::NodeIndex>(i % 64),
-                                   intra::kNoLabel));
+                                   intra::kNoLabel, /*ring_hops=*/1));
   }
   std::size_t i = 0;
   for (auto _ : state) {

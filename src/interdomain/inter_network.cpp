@@ -369,8 +369,7 @@ InterNetwork::WireExchange InterNetwork::reliable_exchange(
     return ex;
   }
   assert(wire::msg::decode_control(frame).has_value());
-  const std::uint64_t frags = std::max<std::uint64_t>(
-      1, (frame.size() + wire::kDefaultMtu - 1) / wire::kDefaultMtu);
+  const std::uint64_t frags = wire::fragment_count(frame.size());
   if (faults_ == nullptr || !faults_->message_faults_enabled() || msgs == 0) {
     ex.msgs = msgs * frags;
     ex.bytes = msgs * frame.size();

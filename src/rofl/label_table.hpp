@@ -26,6 +26,9 @@ struct LabelEntry {
   NodeId dest;                          ///< flow destination the chain serves
   NodeIndex out = graph::kInvalidNode;  ///< next router; kInvalidNode = deliver
   std::uint32_t next_label = kNoLabel;  ///< label the next router switches on
+  /// RouteStats::ring_hops the installing greedy walk had committed here; a
+  /// labeled packet reports it if delivered here or lost on the way to `out`.
+  std::uint32_t ring_hops = 0;
   bool in_use = false;
 };
 
@@ -34,7 +37,7 @@ class LabelTable {
   /// Allocates a label slot and fills it.  Labels are reused LIFO off the
   /// free list, so a same-seed run allocates an identical label sequence.
   std::uint32_t install(const NodeId& dest, NodeIndex out,
-                        std::uint32_t next_label) {
+                        std::uint32_t next_label, std::uint32_t ring_hops) {
     std::uint32_t label;
     if (!free_.empty()) {
       label = free_.back();
@@ -43,7 +46,8 @@ class LabelTable {
       label = static_cast<std::uint32_t>(slots_.size());
       slots_.emplace_back();
     }
-    slots_[label] = LabelEntry{dest, out, next_label, /*in_use=*/true};
+    slots_[label] = LabelEntry{dest, out, next_label, ring_hops,
+                               /*in_use=*/true};
     ++live_;
     return label;
   }

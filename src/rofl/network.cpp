@@ -68,7 +68,7 @@ void Network::bootstrap_router_ring() {
   // Section 3.1: each router starts a default virtual node holding the
   // router-ID; the default vnode joins by flooding, so after bring-up the
   // router-ID ring is complete.  We materialise the steady state directly
-  // and (optionally) charge one network flood per router for it.
+  // and, like the paper, treat bring-up as uncharged infrastructure cost.
   std::vector<std::pair<NodeId, NodeIndex>> order;
   order.reserve(routers_.size());
   for (const auto& r : routers_) order.emplace_back(r->router_id(), r->index());
@@ -96,7 +96,6 @@ void Network::bootstrap_router_ring() {
     }
     routers_[order[i].second]->add_vnode(std::move(vn));
     directory_[order[i].first] = order[i].second;
-    if (cfg_.count_bootstrap) map_->account_flood(sim::MsgCategory::kJoin);
   }
 }
 
@@ -111,39 +110,22 @@ Network::Transfer Network::unicast(NodeIndex a, NodeIndex b,
   }
   t.path = map_->path(a, b);
   if (t.path.empty()) return t;
-  if (faults_ != nullptr && faults_->message_faults_enabled()) {
-    return faulty_transfer(std::move(t), cat, frame_bytes);
-  }
   // A logical message larger than the MTU crosses each link as several
   // network packets (the paper's 256-finger join charges 2 per hop); byte
-  // counters see the frame size itself.
-  const std::uint64_t frags =
-      std::max<std::size_t>(1, (frame_bytes + wire::kDefaultMtu - 1) /
-                                   wire::kDefaultMtu);
-  const std::uint64_t hops = t.path.size() - 1;
-  t.ok = true;
-  t.messages = hops * frags;
-  t.latency_ms = map_->latency_ms(a, b).value_or(0.0);
-  sim_.counters().add(cat, t.messages);
-  sim_.counters().add_bytes(cat, hops * frame_bytes);
-  return t;
-}
-
-Network::Transfer Network::faulty_transfer(Transfer t, sim::MsgCategory cat,
-                                           std::size_t frame_bytes) {
-  // Per-link walk under an active fault injector.  Each leg may drop the
-  // message (the hops transmitted up to the drop point are still charged),
-  // duplicate it (the copy is charged but dies at the next router), or delay
-  // it (jitter on top of propagation latency).  The fault draw covers the
-  // logical message (one decision per link regardless of fragment count), so
-  // enabling byte accounting does not shift the injector's RNG stream.
-  const std::uint64_t frags =
-      std::max<std::size_t>(1, (frame_bytes + wire::kDefaultMtu - 1) /
-                                   wire::kDefaultMtu);
+  // counters see the frame size itself.  Under an active injector each link
+  // may drop the message (the links crossed up to the drop point are still
+  // charged), duplicate it (the copy is charged but dies at the next
+  // router), or delay it.  The fault draw covers the logical message (one
+  // decision per link regardless of fragment count).  Without one, summing
+  // link latencies from 0 in path order is bit for bit the SPF latency,
+  // which Dijkstra accumulates the same way.
+  const std::uint64_t frags = wire::fragment_count(frame_bytes);
+  const bool lossy = faults_ != nullptr && faults_->message_faults_enabled();
   for (std::size_t i = 0; i + 1 < t.path.size(); ++i) {
     const NodeIndex u = t.path[i];
     const NodeIndex v = t.path[i + 1];
-    const sim::FaultDecision d = faults_->on_link(u, v);
+    const sim::FaultDecision d =
+        lossy ? faults_->on_link(u, v) : sim::FaultDecision{};
     t.messages += d.copies * frags;
     sim_.counters().add(cat, d.copies * frags);
     sim_.counters().add_bytes(cat, d.copies * frame_bytes);
@@ -639,9 +621,7 @@ JoinStats Network::join_id(const NodeId& id, const PublicKey& pub,
       sim_.metrics().add(codec_rejected_id_);
       return stats;
     }
-    const std::uint64_t frags =
-        std::max<std::size_t>(1, (frame.size() + wire::kDefaultMtu - 1) /
-                                     wire::kDefaultMtu);
+    const std::uint64_t frags = wire::fragment_count(frame.size());
     stats.messages += frags;
     sim_.counters().add(sim::MsgCategory::kJoin, frags);
     sim_.counters().add_bytes(sim::MsgCategory::kJoin, frame.size());
@@ -756,9 +736,11 @@ std::uint64_t Network::refill_successors(VirtualNode& vn, sim::MsgCategory cat,
   return t.messages;
 }
 
-RepairStats Network::splice_out(const NodeId& id, bool directed_flood,
-                                sim::MsgCategory cat) {
+RepairStats Network::remove_host(const NodeId& id) {
   RepairStats stats;
+  const sim::MsgCategory cat = sim::MsgCategory::kTeardown;
+  host_identities_.erase(id);
+  host_class_.erase(id);
   const auto dir_it = directory_.find(id);
   if (dir_it == directory_.end()) return stats;
   const NodeIndex gw = dir_it->second;
@@ -872,13 +854,11 @@ RepairStats Network::splice_out(const NodeId& id, bool directed_flood,
   // Directed flood (section 3.2, "Host failure"): a source-routed flood over
   // the constrained router set -- the routers that carried this ID's control
   // messages -- clearing their cached pointers.
-  if (directed_flood && !control_path.empty()) {
+  if (!control_path.empty()) {
     for (const NodeIndex r : control_path) {
       if (r < routers_.size()) routers_[r]->cache().erase(id);
     }
-    const std::uint64_t flood_msgs = control_path.size() > 0
-                                         ? control_path.size() - 1
-                                         : 0;
+    const std::uint64_t flood_msgs = control_path.size() - 1;
     stats.messages += flood_msgs;
     sim_.counters().add(cat, flood_msgs);
     // Each leg of the flood carries the same encoded teardown frame.
@@ -887,26 +867,14 @@ RepairStats Network::splice_out(const NodeId& id, bool directed_flood,
   return stats;
 }
 
-RepairStats Network::fail_host(const NodeId& id) {
-  RepairStats stats = splice_out(id, /*directed_flood=*/true,
-                                 sim::MsgCategory::kTeardown);
-  host_identities_.erase(id);
-  host_class_.erase(id);
-  return stats;
-}
+RepairStats Network::fail_host(const NodeId& id) { return remove_host(id); }
 
-RepairStats Network::leave_host(const NodeId& id) {
-  // A graceful departure issues the same directed teardown flood as a crash
-  // (section 3.2): the departing host knows its control path and purges the
-  // cached pointers that still name it.  Without the flood those entries
-  // linger until a data packet trips stale-pointer recovery -- a coherence
-  // hole the invariant auditor flags.
-  RepairStats stats = splice_out(id, /*directed_flood=*/true,
-                                 sim::MsgCategory::kTeardown);
-  host_identities_.erase(id);
-  host_class_.erase(id);
-  return stats;
-}
+// A graceful departure issues the same directed teardown flood as a crash
+// (section 3.2): the departing host knows its control path and purges the
+// cached pointers that still name it.  Without the flood those entries would
+// linger until a data packet trips stale-pointer recovery -- a coherence hole
+// the invariant auditor flags.
+RepairStats Network::leave_host(const NodeId& id) { return remove_host(id); }
 
 NodeIndex Network::failover_router(NodeIndex failed) const {
   // Routers agree in advance on a deterministic failover order (section
@@ -1102,7 +1070,6 @@ RepairStats Network::repair_partitions() {
 RepairStats Network::fail_router(NodeIndex r) {
   RepairStats stats;
   if (r >= routers_.size() || !topo_->graph.node_up(r)) return stats;
-  flush_labels();
 
   // Snapshot the resident IDs before the crash erases them.
   struct Lost {
@@ -1151,7 +1118,6 @@ RepairStats Network::fail_router(NodeIndex r) {
 RepairStats Network::restore_router(NodeIndex r) {
   RepairStats stats;
   if (r >= routers_.size() || topo_->graph.node_up(r)) return stats;
-  flush_labels();
   // Clear any stale state from before the crash, then come back up.
   std::vector<NodeId> stale;
   for (const auto& [id, vn] : routers_[r]->vnodes()) stale.push_back(id);
@@ -1200,16 +1166,39 @@ RepairStats Network::fail_link(NodeIndex u, NodeIndex v) {
   // the guard a redundant fail re-charges an LSA flood and re-invalidates
   // every pointer cache that routes over the (already dead) link.
   if (!edge_flag_up(u, v)) return {};
-  flush_labels();
   map_->fail_link(u, v);
   return repair_partitions();
 }
 
 RepairStats Network::restore_link(NodeIndex u, NodeIndex v) {
   if (edge_flag_up(u, v)) return {};
-  flush_labels();
   map_->restore_link(u, v);
   return repair_partitions();
+}
+
+bool Network::cross_link(NodeIndex u, NodeIndex v, bool labeled,
+                         RouteStats& stats) {
+  stats.latency_ms += link_latency(u, v);
+  const sim::FaultDecision fd =
+      faults_ != nullptr && faults_->message_faults_enabled()
+          ? faults_->on_link(u, v)
+          : sim::FaultDecision{};
+  // Every copy put on the link is charged, including one the link then
+  // loses and a duplicate that dies at v's dedup check.  Data packets have
+  // no retransmission (best-effort forwarding).
+  ++stats.physical_hops;
+  const std::size_t frame =
+      labeled ? labeled_data_frame_bytes_ : data_frame_bytes_;
+  sim_.counters().add(sim::MsgCategory::kData, fd.copies);
+  sim_.counters().add_bytes(sim::MsgCategory::kData, fd.copies * frame);
+  if (labeled) {
+    sim_.metrics().add(labels_bytes_saved_id_,
+                       fd.copies * (data_frame_bytes_ - frame));
+  }
+  if (fd.dropped) return false;
+  stats.latency_ms += fd.extra_latency_ms;
+  routers_[v]->count_traversal();
+  return true;
 }
 
 RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
@@ -1236,6 +1225,11 @@ RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
         .frame_bytes = static_cast<std::uint32_t>(data_frame_bytes_),
         .chased = chased});
   };
+  const auto deliver = [&](NodeIndex at) {
+    stats.delivered = true;
+    sim_.metrics().add(delivered_id_);
+    rec(obs::HopKind::kDeliver, at, dest);
+  };
   rec(obs::HopKind::kStart, src_router, dest);
   // Oracle: the IGP distance to the destination's hosting router, for the
   // stretch metric.  Not consulted by forwarding.
@@ -1243,22 +1237,20 @@ RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
     stats.shortest_hops = map_->hop_distance(src_router, *host).value_or(0);
   }
 
-  // Label-switched fast path (DESIGN.md section 15): an installed flow is
-  // served off per-hop labels; a miss or torn-down flow falls back to the
-  // greedy walk below with the fault-injector RNG stream untouched.
-  if (cfg_.enable_labels && route_labeled(src_router, dest, stats, rec)) {
-    return stats;
-  }
-
+  // Label-switched fast path (DESIGN.md section 15): a packet of an
+  // installed flow enters holding its first label.
+  std::uint32_t label =
+      cfg_.enable_labels ? ingress_label(src_router, dest) : kNoLabel;
   NodeIndex cur = src_router;
   routers_[cur]->count_traversal();
   std::vector<NodeIndex> traversed{cur};
   // Label-install bookkeeping: the walk qualifies only when it completes
   // without resets (no stale pointers, no ephemeral leg, no dead chases) --
   // then the path is a stable pointer path and a later greedy run would
-  // reproduce it exactly, which is what makes the labeled replay safe.
+  // reproduce it exactly, which is what makes switching on its labels safe.
+  // ring_hops_at[i] is stats.ring_hops when the walk left traversed[i].
   bool clean_walk = true;
-  std::vector<std::uint32_t> ring_hops_when_leaving;
+  std::vector<std::uint32_t> ring_hops_at;
   std::optional<Candidate> chasing;
   // When the chased pointer came from a cache, remember whose cache, so the
   // teardown on stale discovery reaches the pointer holder (invariant (b)).
@@ -1268,11 +1260,33 @@ RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
 
   for (std::uint32_t step = 0; step < cfg_.max_forwarding_hops; ++step) {
     Router& r = *routers_[cur];
+    if (label != kNoLabel) {
+      // Steady-state forwarding is this one array index: the entry names
+      // the next hop and the ring_hops greedy had committed here.
+      if (const LabelEntry* e = r.labels().lookup(label)) {
+        stats.ring_hops = e->ring_hops;
+        if (e->out == graph::kInvalidNode) {
+          deliver(cur);
+          return stats;
+        }
+        const NodeIndex next = e->out;
+        label = e->next_label;
+        if (!cross_link(cur, next, /*labeled=*/true, stats)) {
+          rec(obs::HopKind::kFaultDrop, cur, dest);
+          return stats;
+        }
+        cur = next;
+        rec(obs::HopKind::kLabelSwitch, cur, dest);
+        continue;
+      }
+      // No entry here (its flow was torn down): shed the label and forward
+      // greedily from this router, never installing the spliced walk.
+      label = kNoLabel;
+      clean_walk = false;
+    }
     // Delivery checks: resident vnode, or ephemeral backpointer here.
     if (r.hosts(dest)) {
-      stats.delivered = true;
-      sim_.metrics().add(delivered_id_);
-      rec(obs::HopKind::kDeliver, cur, dest);
+      deliver(cur);
       // Optional data-plane snooping: traversed routers cache the
       // destination now that its location is confirmed.
       if (cfg_.cache_data_paths) {
@@ -1281,13 +1295,12 @@ RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
       // A reset-free walk over a pointer path is stable: label it so the
       // flow's next packets forward by array index.  (Not under data-path
       // snooping -- the insert above mutates caches at every delivery, which
-      // a labeled replay would skip.)
+      // a labeled packet would skip.)
       if (cfg_.enable_labels && !cfg_.cache_data_paths && clean_walk &&
           traversed.size() >= 2 &&
           !label_flows_.contains({src_router, dest})) {
-        install_label_flow(src_router, dest, traversed,
-                           std::move(ring_hops_when_leaving),
-                           stats.ring_hops);
+        ring_hops_at.push_back(stats.ring_hops);
+        install_label_flow(src_router, dest, traversed, ring_hops_at);
       }
       return stats;
     }
@@ -1308,45 +1321,19 @@ RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
     if (const auto egw = live_egw()) {
       rec(obs::HopKind::kEphemeralGateway, cur, dest);
       const auto path = map_->path(cur, *egw);
-      if (!path.empty()) {
-        if (faults_ != nullptr && faults_->message_faults_enabled()) {
-          // The final leg to the ephemeral gateway is ordinary data-plane
-          // traffic: walk it link by link so each hop can drop the packet.
-          for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-            const sim::FaultDecision fd =
-                faults_->on_link(path[i], path[i + 1]);
-            sim_.counters().add(sim::MsgCategory::kData, fd.copies);
-            sim_.counters().add_bytes(sim::MsgCategory::kData,
-                                      fd.copies * data_frame_bytes_);
-            ++stats.physical_hops;
-            stats.latency_ms += link_latency(path[i], path[i + 1]);
-            if (fd.dropped) {
-              rec(obs::HopKind::kFaultDrop, path[i], dest);
-              return stats;
-            }
-            stats.latency_ms += fd.extra_latency_ms;
-            routers_[path[i + 1]]->count_traversal();
-          }
-          stats.delivered = true;
-          sim_.metrics().add(delivered_id_);
-          rec(obs::HopKind::kDeliver, *egw, dest);
-          return stats;
-        }
-        for (std::size_t i = 1; i < path.size(); ++i) {
-          routers_[path[i]]->count_traversal();
-        }
-        const auto hops = static_cast<std::uint32_t>(path.size() - 1);
-        stats.physical_hops += hops;
-        stats.latency_ms += map_->latency_ms(cur, *egw).value_or(0.0);
-        sim_.counters().add(sim::MsgCategory::kData, hops);
-        sim_.counters().add_bytes(sim::MsgCategory::kData,
-                                  hops * data_frame_bytes_);
-        stats.delivered = true;
-        sim_.metrics().add(delivered_id_);
-        rec(obs::HopKind::kDeliver, *egw, dest);
+      if (path.empty()) {
+        rec(obs::HopKind::kDrop, cur, dest);
         return stats;
       }
-      rec(obs::HopKind::kDrop, cur, dest);
+      // The final leg to the ephemeral gateway is ordinary data-plane
+      // traffic, crossed link by link like any other hop.
+      for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+        if (!cross_link(path[i], path[i + 1], /*labeled=*/false, stats)) {
+          rec(obs::HopKind::kFaultDrop, path[i], dest);
+          return stats;
+        }
+      }
+      deliver(*egw);
       return stats;
     }
 
@@ -1437,40 +1424,13 @@ RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
       clean_walk = false;
       continue;
     }
-    // Per-hop latency of the link about to be crossed.
-    for (const graph::Edge& e : topo_->graph.neighbors(cur)) {
-      if (e.to == *next) {
-        stats.latency_ms += e.latency_ms;
-        break;
-      }
+    if (!cross_link(cur, *next, /*labeled=*/false, stats)) {
+      rec(obs::HopKind::kFaultDrop, cur, chasing->id);
+      return stats;
     }
-    if (faults_ != nullptr && faults_->message_faults_enabled()) {
-      const sim::FaultDecision fd = faults_->on_link(cur, *next);
-      if (fd.copies > 1) {
-        // The duplicate is transmitted (and charged) but dies at the next
-        // router's dedup check.
-        sim_.counters().add(sim::MsgCategory::kData, fd.copies - 1);
-        sim_.counters().add_bytes(sim::MsgCategory::kData,
-                                  (fd.copies - 1) * data_frame_bytes_);
-      }
-      if (fd.dropped) {
-        // Data packets have no retransmission (best-effort forwarding): the
-        // hop onto the link is charged, then the packet is gone.
-        ++stats.physical_hops;
-        sim_.counters().add(sim::MsgCategory::kData, 1);
-        sim_.counters().add_bytes(sim::MsgCategory::kData, data_frame_bytes_);
-        rec(obs::HopKind::kFaultDrop, cur, chasing->id);
-        return stats;
-      }
-      stats.latency_ms += fd.extra_latency_ms;
-    }
-    ring_hops_when_leaving.push_back(stats.ring_hops);
+    ring_hops_at.push_back(stats.ring_hops);
     cur = *next;
     traversed.push_back(cur);
-    routers_[cur]->count_traversal();
-    ++stats.physical_hops;
-    sim_.counters().add(sim::MsgCategory::kData, 1);
-    sim_.counters().add_bytes(sim::MsgCategory::kData, data_frame_bytes_);
     rec(obs::HopKind::kForward, cur, chasing->id);
   }
   rec(obs::HopKind::kDrop, cur, dest);
@@ -1492,91 +1452,30 @@ Network::CacheTotals Network::cache_totals() const {
 
 // -- label-switched fast path (DESIGN.md section 15) --------------------------
 
-bool Network::route_labeled(
-    NodeIndex src_router, const NodeId& dest, RouteStats& stats,
-    const std::function<void(obs::HopKind, NodeIndex, const NodeId&)>& rec) {
+std::uint32_t Network::ingress_label(NodeIndex src_router,
+                                     const NodeId& dest) {
   const auto it = label_flows_.find(LabelFlowKey{src_router, dest});
-  if (it == label_flows_.end()) {
-    sim_.metrics().add(labels_misses_id_);
-    return false;
-  }
-  // Defensive revalidation: flush_labels() runs on every topology or ring
-  // mutation, so a live flow should always check out -- but a labeled hop
-  // must never forward into state a greedy walk would not have produced.
-  const LabelFlow& flow = it->second;
-  if (!routers_[flow.path.back()]->hosts(dest) ||
-      !map_->route_valid(flow.path)) {
+  if (it != label_flows_.end()) {
+    // Defensive revalidation: flush_labels() runs on every topology or ring
+    // mutation, so a live flow should always check out -- but a labeled hop
+    // must never forward into state a greedy walk would not have produced.
+    const LabelFlow& flow = it->second;
+    if (routers_[flow.path.back()]->hosts(dest) &&
+        map_->route_valid(flow.path)) {
+      sim_.metrics().add(labels_hits_id_);
+      return flow.labels.front();
+    }
     teardown_label_flow(it->first);
-    sim_.metrics().add(labels_misses_id_);
-    return false;
   }
-  sim_.metrics().add(labels_hits_id_);
-  // Labeled frames swap the two 16-byte flat IDs for one 4-byte label.
-  const std::size_t saved = data_frame_bytes_ - labeled_data_frame_bytes_;
-  NodeIndex cur = src_router;
-  routers_[cur]->count_traversal();
-  std::uint32_t label = flow.labels.front();
-  for (std::size_t i = 0; i + 1 < flow.path.size(); ++i) {
-    // Steady-state forwarding is this one array index; the install-run path
-    // is only the fallback against a half-torn-down table.
-    const LabelEntry* e = routers_[cur]->labels().lookup(label);
-    const NodeIndex next = e != nullptr ? e->out : flow.path[i + 1];
-    for (const graph::Edge& edge : topo_->graph.neighbors(cur)) {
-      if (edge.to == next) {
-        stats.latency_ms += edge.latency_ms;
-        break;
-      }
-    }
-    // Mirror the greedy walk's per-link fault handling exactly (same
-    // on_link draw per link crossed) so the injector's RNG stream stays in
-    // lockstep whether or not this flow is labeled.
-    if (faults_ != nullptr && faults_->message_faults_enabled()) {
-      const sim::FaultDecision fd = faults_->on_link(cur, next);
-      if (fd.copies > 1) {
-        sim_.counters().add(sim::MsgCategory::kData, fd.copies - 1);
-        sim_.counters().add_bytes(sim::MsgCategory::kData,
-                                  (fd.copies - 1) * labeled_data_frame_bytes_);
-        sim_.metrics().add(labels_bytes_saved_id_, (fd.copies - 1) * saved);
-      }
-      if (fd.dropped) {
-        ++stats.physical_hops;
-        sim_.counters().add(sim::MsgCategory::kData, 1);
-        sim_.counters().add_bytes(sim::MsgCategory::kData,
-                                  labeled_data_frame_bytes_);
-        sim_.metrics().add(labels_bytes_saved_id_, saved);
-        // ring_hops a greedy walk would have accumulated by this link.
-        stats.ring_hops = flow.ring_hops_when_leaving[i];
-        rec(obs::HopKind::kFaultDrop, cur, dest);
-        return true;
-      }
-      stats.latency_ms += fd.extra_latency_ms;
-    }
-    label = e != nullptr ? e->next_label : flow.labels[i + 1];
-    cur = next;
-    routers_[cur]->count_traversal();
-    ++stats.physical_hops;
-    sim_.counters().add(sim::MsgCategory::kData, 1);
-    sim_.counters().add_bytes(sim::MsgCategory::kData,
-                              labeled_data_frame_bytes_);
-    sim_.metrics().add(labels_bytes_saved_id_, saved);
-    rec(obs::HopKind::kLabelSwitch, cur, dest);
-  }
-  stats.ring_hops = flow.final_ring_hops;
-  stats.delivered = true;
-  sim_.metrics().add(delivered_id_);
-  rec(obs::HopKind::kDeliver, cur, dest);
-  return true;
+  sim_.metrics().add(labels_misses_id_);
+  return kNoLabel;
 }
 
-void Network::install_label_flow(
-    NodeIndex src_router, const NodeId& dest,
-    const std::vector<NodeIndex>& path,
-    std::vector<std::uint32_t> ring_hops_when_leaving,
-    std::uint32_t final_ring_hops) {
+void Network::install_label_flow(NodeIndex src_router, const NodeId& dest,
+                                 const std::vector<NodeIndex>& path,
+                                 const std::vector<std::uint32_t>& ring_hops) {
   LabelFlow flow;
   flow.path = path;
-  flow.ring_hops_when_leaving = std::move(ring_hops_when_leaving);
-  flow.final_ring_hops = final_ring_hops;
   flow.labels.resize(path.size());
   // Allocate terminal-first so each hop's entry can name its successor's
   // freshly assigned label; the terminal entry has no out-pointer.
@@ -1584,7 +1483,8 @@ void Network::install_label_flow(
   for (std::size_t i = path.size(); i-- > 0;) {
     const NodeIndex out =
         i + 1 < path.size() ? path[i + 1] : graph::kInvalidNode;
-    flow.labels[i] = routers_[path[i]]->labels().install(dest, out, next_label);
+    flow.labels[i] = routers_[path[i]]->labels().install(dest, out, next_label,
+                                                         ring_hops[i]);
     next_label = flow.labels[i];
   }
   sim_.metrics().add(labels_installed_id_, flow.path.size());

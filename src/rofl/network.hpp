@@ -13,7 +13,8 @@
 //                        successor groups, and cache pointers along control
 //                        paths;
 //   * route           -- Algorithm 2: per-router greedy forwarding over
-//                        resident virtual nodes and pointer caches;
+//                        resident virtual nodes and pointer caches (or,
+//                        for an installed flow, per-hop label switching);
 //   * fail_host       -- session timeout; teardown messages to successors /
 //                        predecessors plus the directed flood that clears
 //                        cached state (section 3.2, "Host failure");
@@ -32,7 +33,6 @@
 // maximum rather than their sum to join latency.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -65,9 +65,6 @@ struct Config {
   /// knob the paper explicitly leaves OFF ("we do not snoop on data packet
   /// headers for filling caches", section 6.1); provided for the ablation.
   bool cache_data_paths = false;
-  /// Charge the router-ID bootstrap flood to the counters (the paper treats
-  /// router bring-up as infrastructure cost and excludes it).
-  bool count_bootstrap = false;
   /// Sybil damage control (section 2.1): an AS-level audit cap on the number
   /// of IDs any one router may host.  0 = unlimited.  Joins beyond the cap
   /// are refused at the gateway.
@@ -78,7 +75,7 @@ struct Config {
   /// best-match.  Labels change cost, never paths: labels-on and labels-off
   /// runs deliver byte-identical route outcomes.  Ignored (no installs) when
   /// cache_data_paths is on -- snooping mutates caches at delivery, which a
-  /// labeled replay would skip.
+  /// labeled packet would skip.
   bool enable_labels = false;
   /// Forwarding loop guard.
   std::uint32_t max_forwarding_hops = 100'000;
@@ -136,9 +133,9 @@ class Network {
   /// ring neighbors, directed flood over the cached-state router set.
   RepairStats fail_host(const NodeId& id);
 
-  /// Graceful leave: same ring splice-out; the departing host also issues
-  /// the directed cache-purge flood over its control path, so no router is
-  /// left holding a pointer to the departed ID.
+  /// Graceful leave.  Costs exactly what fail_host does: the departing host
+  /// knows its control path and issues the same directed cache-purge flood,
+  /// so no router is left holding a pointer to the departed ID.
   RepairStats leave_host(const NodeId& id);
 
   // -- failures -------------------------------------------------------------
@@ -164,10 +161,15 @@ class Network {
   RepairStats repair_partitions();
 
   // -- data plane -----------------------------------------------------------
-  /// Algorithm 2 forwarding from `src_router` toward flat label `dest`.
-  /// With a flight recorder installed, every forwarding decision is recorded
-  /// under `trace_id` (0 = allocate a fresh id); the id used lands in
-  /// RouteStats::trace_id.
+  /// Forwards one data packet from `src_router` toward flat label `dest`.
+  /// With labels enabled, the ingress looks up an installed flow for (src,
+  /// dest); a packet holding a label switches on each router's LabelEntry
+  /// (next hop and committed ring_hops, no best-match lookups).  Any other
+  /// packet runs Algorithm 2, greedy best-match over resident vnodes and
+  /// pointer caches.  Both kinds cross every link through the same
+  /// cross_link, so the modes draw identical faults.  With a flight recorder
+  /// installed, every forwarding decision is recorded under `trace_id` (0 =
+  /// allocate a fresh id); the id used lands in RouteStats::trace_id.
   RouteStats route(NodeIndex src_router, const NodeId& dest,
                    std::uint64_t trace_id = 0);
 
@@ -223,15 +225,12 @@ class Network {
   [[nodiscard]] CacheTotals cache_totals() const;
 
   // -- label-switched fast path (DESIGN.md section 15) ----------------------
-  /// One installed flow: the physical path its labels ride and the greedy
-  /// bookkeeping a labeled replay must reproduce bit-for-bit.
+  /// One installed flow: the physical path its labels ride, kept for
+  /// teardown and the auditor.  Forwarding reads only the per-router
+  /// LabelEntry chain, which carries the next hop and greedy's ring_hops.
   struct LabelFlow {
     std::vector<NodeIndex> path;        ///< routers, ingress..terminal
     std::vector<std::uint32_t> labels;  ///< labels[i] switches at path[i]
-    /// stats.ring_hops greedy had committed when leaving path[i] (reported
-    /// when the injector drops the packet on link i).
-    std::vector<std::uint32_t> ring_hops_when_leaving;
-    std::uint32_t final_ring_hops = 0;  ///< ring_hops at delivery
   };
   using LabelFlowKey = std::pair<NodeIndex, NodeId>;
   [[nodiscard]] const std::map<LabelFlowKey, LabelFlow>& label_flows() const {
@@ -289,21 +288,25 @@ class Network {
     std::optional<wire::msg::ControlMessage> received;
   };
 
-  /// One transmission attempt of a logical protocol message A->B over the
-  /// IGP path.  The message occupies `frame_bytes` on the wire and charges
-  /// ceil(frame_bytes / kDefaultMtu) network packets per physical hop (the
-  /// paper's multi-packet counts for >MTU messages) plus `frame_bytes` on the
-  /// per-category byte counters.  With a fault injector installed the
-  /// message may be dropped mid-path (ok=false, lost=true; the hops up to
-  /// the drop point are still charged), duplicated (extra packets charged),
-  /// or delayed (jitter added to latency).
+  /// One transmission attempt of a logical protocol message A->B, walked
+  /// link by link along the IGP path.  Each link carries
+  /// wire::fragment_count(frame_bytes) network packets per copy (the
+  /// paper's multi-packet counts for >MTU messages) and `frame_bytes` per
+  /// copy on the per-category byte counters.  With a fault injector
+  /// installed each link may drop the message (ok=false, lost=true; the
+  /// links up to the drop point are still charged), duplicate it (extra
+  /// copies charged), or delay it (jitter added to latency).
   Transfer unicast(NodeIndex a, NodeIndex b, sim::MsgCategory cat,
                    std::size_t frame_bytes);
 
-  /// The per-link walk of `unicast` under an active fault injector; `t.path`
-  /// must already hold the IGP path.
-  Transfer faulty_transfer(Transfer t, sim::MsgCategory cat,
-                           std::size_t frame_bytes);
+  /// One data packet crossing link u->v: adds the link latency, makes the
+  /// injector's one draw, charges every transmitted copy on msgs.data /
+  /// bytes.data (and labels.bytes_saved for a labeled frame), and on
+  /// arrival adds the jitter and counts v's traversal.  Returns false when
+  /// the packet was lost on the link.  The greedy hop, the ephemeral leg and
+  /// the labeled hop all cross here, which is what keeps labels-on and
+  /// labels-off runs on one injector RNG stream.
+  bool cross_link(NodeIndex u, NodeIndex v, bool labeled, RouteStats& stats);
 
   /// One attempt of `frame` across the network: unicast charging, then -- if
   /// the frame arrived -- byte corruption by the injector and CRC-verified
@@ -356,9 +359,10 @@ class Network {
   Transfer splice_in(VirtualNode& vn, NodeIndex pred_router,
                      const NodeId& pred_id, sim::MsgCategory cat);
 
-  /// Removes `id` from all ring neighbor state, relinking around it.
-  RepairStats splice_out(const NodeId& id, bool directed_flood,
-                         sim::MsgCategory cat);
+  /// The body of fail_host and leave_host: removes `id` from all ring
+  /// neighbor state, relinking around it, and purges its cached pointers
+  /// with the directed flood.
+  RepairStats remove_host(const NodeId& id);
 
   /// Tops a vnode's successor group back up to k by copying from its first
   /// successor; one unicast when a refresh was needed.  `exclude` filters an
@@ -372,23 +376,17 @@ class Network {
   std::uint32_t tear_unreachable_pointers();
 
   // -- label-switched fast path internals -----------------------------------
-  /// Tries to serve route(src, dest) off an installed label chain.  Returns
-  /// true when the packet was handled (delivered or fault-dropped) with
-  /// `stats` filled; false means fall back to greedy (flow missing or torn
-  /// down here).  The replay makes exactly the per-link fault-injector draws
-  /// greedy would make and charges the same packet counts, so labels-on and
-  /// labels-off runs stay in RNG lockstep.
-  bool route_labeled(NodeIndex src_router, const NodeId& dest,
-                     RouteStats& stats,
-                     const std::function<void(obs::HopKind, NodeIndex,
-                                              const NodeId&)>& rec);
+  /// Ingress classification: the first label of the installed flow for
+  /// (src, dest), counted on labels.hits, or kNoLabel (labels.misses) when
+  /// there is none or its path no longer checks out (then torn down).
+  std::uint32_t ingress_label(NodeIndex src_router, const NodeId& dest);
 
-  /// Installs labels along `path` for (src, dest) and bulk-charges the
-  /// install signaling (one LabelInstall frame per link of the path).
+  /// Installs labels along `path` for (src, dest), path[i]'s entry carrying
+  /// ring_hops[i], and bulk-charges the install signaling (one LabelInstall
+  /// frame per link of the path).
   void install_label_flow(NodeIndex src_router, const NodeId& dest,
                           const std::vector<NodeIndex>& path,
-                          std::vector<std::uint32_t> ring_hops_when_leaving,
-                          std::uint32_t final_ring_hops);
+                          const std::vector<std::uint32_t>& ring_hops);
 
   /// Removes one flow's label entries and charges its teardown frames.
   void teardown_label_flow(const LabelFlowKey& key);

@@ -77,10 +77,8 @@ void SessionManager::tick(const NodeId& id, std::uint64_t epoch) {
     std::vector<std::uint8_t> frame = wire::msg::encode_control(
         wire::msg::Keepalive{.seq = s.missed + 1}, id, id);
     if (!frame.empty()) {
-      net_->simulator().counters().add(
-          sim::MsgCategory::kControl,
-          std::max<std::size_t>(
-              1, (frame.size() + wire::kDefaultMtu - 1) / wire::kDefaultMtu));
+      net_->simulator().counters().add(sim::MsgCategory::kControl,
+                                       wire::fragment_count(frame.size()));
       net_->simulator().counters().add_bytes(sim::MsgCategory::kControl,
                                              frame.size());
       ++keepalives_;

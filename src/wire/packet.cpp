@@ -214,8 +214,7 @@ std::size_t Packet::fragments(std::size_t mtu) const {
   // this packet at all, so report 0 fragments and let callers treat it as a
   // refusal.
   if (mtu <= kFrameOverhead) return 0;
-  const std::size_t size = wire_size();
-  return (size + mtu - 1) / mtu;
+  return fragment_count(wire_size(), mtu);
 }
 
 }  // namespace rofl::wire

@@ -52,6 +52,15 @@ inline constexpr std::size_t kDefaultMtu = 1500;
 /// fragment, so fragmentation is impossible.
 inline constexpr std::size_t kFrameOverhead = 54;
 
+/// Network packets a `frame_bytes`-byte frame occupies on a link of `mtu`:
+/// ceil(frame_bytes / mtu), and at least one.  Every layer that charges a
+/// logical message per link charges this many packets (the paper's 256-finger
+/// join costs 2 per hop, section 6.3).
+[[nodiscard]] constexpr std::size_t fragment_count(
+    std::size_t frame_bytes, std::size_t mtu = kDefaultMtu) {
+  return frame_bytes <= mtu ? 1 : (frame_bytes + mtu - 1) / mtu;
+}
+
 struct CapabilityField {
   NodeId source;
   double expiry_ms = 0.0;

@@ -18,8 +18,8 @@ NodeId id(std::uint64_t v) { return NodeId::from_u64(v); }
 
 TEST(LabelTable, InstallLookupRemove) {
   LabelTable t;
-  const std::uint32_t a = t.install(id(1), 7, kNoLabel);
-  const std::uint32_t b = t.install(id(2), 8, a);
+  const std::uint32_t a = t.install(id(1), 7, kNoLabel, 0);
+  const std::uint32_t b = t.install(id(2), 8, a, 1);
   EXPECT_EQ(t.live(), 2u);
   const LabelEntry* ea = t.lookup(a);
   ASSERT_NE(ea, nullptr);
@@ -29,6 +29,7 @@ TEST(LabelTable, InstallLookupRemove) {
   const LabelEntry* eb = t.lookup(b);
   ASSERT_NE(eb, nullptr);
   EXPECT_EQ(eb->next_label, a);
+  EXPECT_EQ(eb->ring_hops, 1u);
   t.remove(a);
   EXPECT_EQ(t.lookup(a), nullptr);
   EXPECT_EQ(t.live(), 1u);
@@ -40,14 +41,14 @@ TEST(LabelTable, InstallLookupRemove) {
 
 TEST(LabelTable, RetiredLabelsReuseLifo) {
   LabelTable t;
-  const std::uint32_t a = t.install(id(1), 1, kNoLabel);
-  const std::uint32_t b = t.install(id(2), 2, kNoLabel);
+  const std::uint32_t a = t.install(id(1), 1, kNoLabel, 0);
+  const std::uint32_t b = t.install(id(2), 2, kNoLabel, 0);
   t.remove(a);
   t.remove(b);
   // LIFO reuse: the most recently retired label comes back first, so a
   // same-seed rerun allocates the identical label sequence.
-  EXPECT_EQ(t.install(id(3), 3, kNoLabel), b);
-  EXPECT_EQ(t.install(id(4), 4, kNoLabel), a);
+  EXPECT_EQ(t.install(id(3), 3, kNoLabel, 0), b);
+  EXPECT_EQ(t.install(id(4), 4, kNoLabel, 0), a);
   std::size_t seen = 0;
   t.for_each([&](std::uint32_t label, const LabelEntry& e) {
     ++seen;
@@ -116,29 +117,59 @@ TEST(Labels, SecondPacketServedOffLabels) {
 }
 
 TEST(Labels, EquivalenceAcrossModesOverManyFlows) {
-  Config on;
-  on.enable_labels = true;
-  TestNet a(on, 777);
-  TestNet b(Config{}, 777);
-  std::vector<NodeId> ids_a, ids_b;
-  for (std::size_t i = 0; i < 24; ++i) {
-    const auto gw = static_cast<NodeIndex>(i % a.net->router_count());
-    ids_a.push_back(a.join(gw));
-    ids_b.push_back(b.join(gw));
-  }
-  ASSERT_EQ(ids_a, ids_b);
-  // Every flow routed twice: packet 1 compares greedy-vs-greedy, packet 2
-  // compares labeled replay vs a second greedy walk.
-  for (std::size_t i = 0; i < ids_a.size(); ++i) {
-    const auto src =
-        static_cast<NodeIndex>((i * 7 + 3) % a.net->router_count());
-    for (int pkt = 0; pkt < 2; ++pkt) {
-      const RouteStats ra = a.net->route(src, ids_a[i]);
-      const RouteStats rb = b.net->route(src, ids_b[i]);
-      expect_rs_eq(ra, rb);
+  // Two inputs.  Reliable links: every flow routed twice, so packet 1
+  // compares greedy-vs-greedy and packet 2 a labeled packet vs a second
+  // greedy walk.  Lossy, duplicating, jittery links under one injector seed
+  // in both modes: three packets per flow, and the modes must also charge
+  // the same data packets and draw the same faults.
+  struct Input {
+    const char* name;
+    bool faults;
+    int packets;
+  };
+  for (const Input& in : {Input{"reliable", false, 2},
+                          Input{"loss+dup+jitter", true, 3}}) {
+    SCOPED_TRACE(in.name);
+    Config on;
+    on.enable_labels = true;
+    TestNet a(on, 777);
+    TestNet b(Config{}, 777);
+    std::vector<NodeId> ids_a, ids_b;
+    for (std::size_t i = 0; i < 24; ++i) {
+      const auto gw = static_cast<NodeIndex>(i % a.net->router_count());
+      ids_a.push_back(a.join(gw));
+      ids_b.push_back(b.join(gw));
+    }
+    ASSERT_EQ(ids_a, ids_b);
+    sim::FaultPlan plan;
+    plan.defaults.loss = 0.1;
+    plan.defaults.duplicate = 0.05;
+    plan.defaults.jitter_ms = 0.5;
+    sim::FaultInjector inj_a(plan, 99, &a.net->simulator().metrics());
+    sim::FaultInjector inj_b(plan, 99, &b.net->simulator().metrics());
+    if (in.faults) {
+      a.net->set_fault_injector(&inj_a);
+      b.net->set_fault_injector(&inj_b);
+    }
+    for (std::size_t i = 0; i < ids_a.size(); ++i) {
+      const auto src =
+          static_cast<NodeIndex>((i * 7 + 3) % a.net->router_count());
+      for (int pkt = 0; pkt < in.packets; ++pkt) {
+        const RouteStats ra = a.net->route(src, ids_a[i]);
+        const RouteStats rb = b.net->route(src, ids_b[i]);
+        expect_rs_eq(ra, rb);
+      }
+    }
+    EXPECT_GT(a.counter("labels.hits"), 0u);
+    for (const char* name : {"msgs.data", "faults.dropped",
+                             "faults.duplicated", "faults.delayed"}) {
+      EXPECT_EQ(a.counter(name), b.counter(name)) << name;
+    }
+    if (in.faults) {
+      EXPECT_GT(a.counter("faults.dropped"), 0u);
+      EXPECT_GT(a.counter("faults.duplicated"), 0u);
     }
   }
-  EXPECT_GT(a.counter("labels.hits"), 0u);
 }
 
 TEST(Labels, LifecycleUnderChurnStaysAuditorClean) {
