@@ -1,7 +1,5 @@
 #include "ext/anycast.hpp"
 
-#include <algorithm>
-
 namespace rofl::ext {
 
 intra::JoinStats anycast_join(intra::Network& net, const GroupId& g,
@@ -23,94 +21,20 @@ AnycastResult anycast_route(intra::Network& net, graph::NodeIndex src,
                             const GroupId& g,
                             std::optional<std::uint32_t> preferred_suffix,
                             bool absorb_en_route) {
-  AnycastResult res;
-  if (src >= net.router_count() || !net.topology().graph.node_up(src)) {
-    return res;
-  }
+  // Routers treat all suffixes of G equally: the packet is an ordinary
+  // data packet toward (G, r) whose stop rule counts every member of G.
   const NodeId steer =
       preferred_suffix.has_value() ? g.with_suffix(*preferred_suffix) : g.high();
-
-  graph::NodeIndex cur = src;
-  res.path.push_back(cur);
-  NodeId committed = NodeId{}.minus(NodeId::from_u64(1));
-  std::optional<intra::Candidate> chasing;
-
-  const std::uint32_t guard = net.config().max_forwarding_hops;
-  for (std::uint32_t step = 0; step < guard; ++step) {
-    intra::Router& r = net.router(cur);
-    // Delivery rule: the first router hosting any member of G absorbs the
-    // packet ("the first server in G for which the packet encounters a
-    // route").  In ownership mode, only the member owning the steering
-    // suffix (the greedy target itself) may absorb.
-    if (absorb_en_route) {
-      for (const auto& [vid, vn] : r.vnodes()) {
-        if (g.contains(vid)) {
-          res.delivered = true;
-          res.member = vid;
-          return res;
-        }
-      }
-    }
-    // Greedy toward (G, r): routers treat all suffixes of G equally, so a
-    // candidate inside the group counts as an exact hit to chase.
-    std::vector<intra::Candidate> cands;
-    if (auto c = r.vn_best_match(steer)) cands.push_back(*c);
-    if (const intra::CacheEntry* e = r.cache().best_match(steer)) {
-      if (net.map().route_valid(e->path)) {
-        cands.push_back(intra::Candidate{e->id, e->host, false});
-      }
-    }
-    std::sort(cands.begin(), cands.end(),
-              [&](const intra::Candidate& a, const intra::Candidate& b) {
-                return NodeId::closer_to(steer, a.id, b.id);
-              });
-    bool switched = false;
-    for (const intra::Candidate& c : cands) {
-      const NodeId d = NodeId::distance_cw(c.id, steer);
-      if (d < committed) {
-        chasing = c;
-        committed = d;
-        switched = true;
-        break;
-      }
-    }
-    if (!chasing.has_value()) return res;
-    // Ownership mode: deliver as soon as the chased target is a group
-    // member hosted right here (covers both arrival and the case where the
-    // owner is resident at the current router).
-    if (!absorb_en_route && g.contains(chasing->id) &&
-        r.hosts(chasing->id)) {
-      res.delivered = true;
-      res.member = chasing->id;
-      return res;
-    }
-    if (!switched && cur == chasing->host) {
-      if (r.hosts(chasing->id)) {
-        // In ownership mode the chased member absorbs on arrival; in absorb
-        // mode arriving here with a non-member means the group is empty
-        // around the steering point: a miss.
-        if (!absorb_en_route && g.contains(chasing->id)) {
-          res.delivered = true;
-          res.member = chasing->id;
-        }
-        return res;
-      }
-      r.cache().erase(chasing->id);
-      chasing.reset();
-      committed = NodeId{}.minus(NodeId::from_u64(1));
-      continue;
-    }
-    const auto next = net.map().next_hop(cur, chasing->host);
-    if (!next.has_value() || *next == cur) {
-      r.cache().erase(chasing->id);
-      chasing.reset();
-      continue;
-    }
-    cur = *next;
-    res.path.push_back(cur);
-    ++res.physical_hops;
-    net.simulator().counters().add(sim::MsgCategory::kData, 1);
-  }
+  const intra::Delivery rule{absorb_en_route
+                                 ? intra::Delivery::Rule::kFirstMember
+                                 : intra::Delivery::Rule::kOwner,
+                             g.base(), g.high()};
+  AnycastResult res;
+  const intra::RouteStats rs =
+      net.route(src, steer, /*trace_id=*/0, rule, &res.path, &res.member);
+  res.delivered = rs.delivered;
+  res.physical_hops = rs.physical_hops;
+  res.trace_id = rs.trace_id;
   return res;
 }
 

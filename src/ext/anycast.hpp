@@ -8,10 +8,11 @@
 //
 // Join-side: each server registers (G, x_k) through the normal join path
 // (Network::join_group_id) after proving it holds the group key.  Data-side:
-// anycast_route() runs Algorithm-2 greedy forwarding toward the top of G's
-// suffix range, but delivers at the first router that knows any route to a
-// member of G -- no state or message overhead beyond joining (the property
-// the paper highlights).
+// anycast_route() is a call into Network::route toward (G, r) with a group
+// delivery rule (intra::Delivery), so an anycast packet crosses links, draws
+// faults, tears down stale pointers and records hops exactly like unicast;
+// only the stop rule differs -- no state or message overhead beyond joining
+// (the property the paper highlights).
 #pragma once
 
 #include <optional>
@@ -34,6 +35,7 @@ struct AnycastResult {
   NodeId member;                      // the member ID that absorbed the packet
   std::uint32_t physical_hops = 0;
   std::vector<graph::NodeIndex> path;  // routers traversed (incl. endpoints)
+  std::uint64_t trace_id = 0;  // flight-recorder id (0 = no recorder)
 };
 
 /// Routes an anycast packet from `src` toward group `g`.  `preferred_suffix`

@@ -49,10 +49,8 @@ MulticastGroup::JoinStats MulticastGroup::join(intra::Network& net,
   } else {
     walk = anycast_route(net, gateway, group_);
   }
-  if (!walk.delivered && walk.path.size() < 2) {
-    // Degenerate: walk could not even leave the gateway.
-    if (!walk.delivered) return stats;
-  }
+  // Degenerate: walk could not even leave the gateway.
+  if (!walk.delivered && walk.path.size() < 2) return stats;
   graph::NodeIndex prev = walk.path.front();
   bool intersected = false;
   std::uint64_t painted = 0;

@@ -977,9 +977,7 @@ InterRouteStats InterNetwork::route(AsIndex src_as, const NodeId& dest,
 
 InterRouteStats InterNetwork::route_constrained(
     AsIndex src_as, const NodeId& dest, std::optional<AsIndex> within,
-    std::vector<AsIndex>* traversed, std::uint64_t trace_id,
-    std::uint32_t depth) {
-  (void)depth;
+    std::vector<AsIndex>* traversed, std::uint64_t trace_id) {
   InterRouteStats stats;
   stats.trace_id = trace_id;
   if (!work_.as_up(src_as)) return stats;

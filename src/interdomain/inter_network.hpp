@@ -280,8 +280,7 @@ class InterNetwork {
   InterRouteStats route_constrained(AsIndex src_as, const NodeId& dest,
                                     std::optional<AsIndex> within,
                                     std::vector<AsIndex>* traversed,
-                                    std::uint64_t trace_id = 0,
-                                    std::uint32_t depth = 0);
+                                    std::uint64_t trace_id = 0);
 
   /// Appends one hop record (no-op without a recorder).
   void record_hop(std::uint64_t trace_id, obs::HopKind kind, AsIndex as,

@@ -1,6 +1,7 @@
 #include "rofl/network.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <set>
 #include <sstream>
@@ -8,6 +9,46 @@
 #include "proto/ring.hpp"
 
 namespace rofl::intra {
+namespace {
+
+/// A greedy candidate and whether the router's pointer cache supplied it.
+struct Pick {
+  Candidate c;
+  bool from_cache = false;
+};
+
+/// Algorithm 2's per-router candidate step toward `target`, shared by data
+/// forwarding and the control-plane locate walk: r's best resident/successor
+/// match and its best cached pointer (left out once the cached source route
+/// crosses a dead link), tried closer first.  An ID this walk already found
+/// dead is erased from r's cache and skipped; the first candidate `take`
+/// accepts is returned.
+template <typename Take>
+std::optional<Pick> greedy_step(Router& r,
+                                const linkstate::LinkStateMap& map,
+                                const NodeId& target,
+                                const std::set<NodeId>& dead, Take&& take) {
+  std::array<Pick, 2> cands;
+  std::size_t n = 0;
+  if (const auto c = r.vn_best_match(target)) cands[n++] = Pick{*c, false};
+  if (const CacheEntry* e = r.cache().best_match(target);
+      e != nullptr && map.route_valid(e->path)) {
+    cands[n++] = Pick{Candidate{e->id, e->host, false}, true};
+  }
+  if (n == 2 && NodeId::closer_to(target, cands[1].c.id, cands[0].c.id)) {
+    std::swap(cands[0], cands[1]);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (dead.contains(cands[i].c.id)) {
+      r.cache().erase(cands[i].c.id);
+      continue;
+    }
+    if (take(cands[i])) return cands[i];
+  }
+  return std::nullopt;
+}
+
+}  // namespace
 
 Network::Network(const graph::IspTopology* topo, Config cfg, std::uint64_t seed)
     : topo_(topo), cfg_(cfg), rng_(seed) {
@@ -321,6 +362,13 @@ Network::LocateResult Network::locate_predecessor(NodeIndex from,
   // router's cache would loop the cleanup (the walk still tears each one
   // down exactly once).
   std::set<NodeId> dead_this_walk;
+  // One locate step rides the wire as a typed message; the next router acts
+  // on the decoded target, not on shared memory.
+  const std::uint8_t purpose =
+      cat == sim::MsgCategory::kJoin
+          ? 0
+          : (cat == sim::MsgCategory::kRepair ? 1 : 2);
+  const wire::msg::ControlMessage locate = wire::msg::Locate{target, purpose};
   for (std::uint32_t step = 0; step < cfg_.max_forwarding_hops; ++step) {
     Router& r = *routers_[cur];
     if (VirtualNode* pred = r.predecessor_vnode_of(target); pred != nullptr) {
@@ -329,51 +377,28 @@ Network::LocateResult Network::locate_predecessor(NodeIndex from,
       res.pred_id = pred->id;
       return res;
     }
-    // Gather candidates: Algorithm 2 over VN state and the pointer cache.
-    std::vector<Candidate> cands;
-    if (auto c = r.vn_best_match(target)) cands.push_back(*c);
-    if (const CacheEntry* e = r.cache().best_match(target)) {
-      cands.push_back(Candidate{e->id, e->host, false});
-    }
-    std::sort(cands.begin(), cands.end(), [&](const Candidate& a, const Candidate& b) {
-      return NodeId::closer_to(target, a.id, b.id);
-    });
-    bool moved = false;
-    for (const Candidate& c : cands) {
-      const NodeId d = NodeId::distance_cw(c.id, target);
-      if (!(d < best_dist)) continue;  // no progress via this candidate
-      if (c.host == cur) continue;     // resident but not predecessor-owner
-      if (dead_this_walk.contains(c.id)) {
-        r.cache().erase(c.id);  // clean the copy here too, then skip it
-        continue;
-      }
-      // One locate step rides the wire as a typed message; the next router
-      // acts on the decoded target, not on shared memory.
-      const std::uint8_t purpose =
-          cat == sim::MsgCategory::kJoin
-              ? 0
-              : (cat == sim::MsgCategory::kRepair ? 1 : 2);
-      const Exchange step =
-          reliable_exchange(cur, c.host, cat, wire::msg::Locate{target, purpose});
-      const Transfer& hop = step.t;
-      if (!hop.ok) {
-        // Pointer target unreachable (or retries exhausted under loss); a
-        // cached pointer is simply dropped.
-        r.cache().erase(c.id);
-        continue;
-      }
-      assert(std::get<wire::msg::Locate>(*step.received).target == target);
-      res.messages += hop.messages;
-      res.latency_ms += hop.latency_ms;
-      res.control_path.insert(res.control_path.end(), hop.path.begin() + 1,
-                              hop.path.end());
-      best_dist = d;
-      cur = c.host;
-      last_chased = c.id;
-      moved = true;
-      break;
-    }
-    if (!moved) {
+    Transfer hop;
+    const auto moved = greedy_step(
+        r, *map_, target, dead_this_walk, [&](const Pick& p) {
+          // No progress via this candidate, or resident here but not the
+          // predecessor's owner.
+          if (!(NodeId::distance_cw(p.c.id, target) < best_dist) ||
+              p.c.host == cur) {
+            return false;
+          }
+          Exchange sent = reliable_exchange(cur, p.c.host, cat, locate);
+          if (!sent.t.ok) {
+            // Pointer target unreachable (or retries exhausted under loss);
+            // a cached pointer is simply dropped.
+            r.cache().erase(p.c.id);
+            return false;
+          }
+          assert(std::get<wire::msg::Locate>(*sent.received).target ==
+                 target);
+          hop = std::move(sent.t);
+          return true;
+        });
+    if (!moved.has_value()) {
       // Stale-pointer recovery, mirroring route(): if the previous hop
       // chased a cached ID that is no longer hosted here, tear the stale
       // entry down and restart greedy progress from ring state.  Every reset
@@ -387,6 +412,13 @@ Network::LocateResult Network::locate_predecessor(NodeIndex from,
       }
       return res;  // stuck: broken ring or partition
     }
+    res.messages += hop.messages;
+    res.latency_ms += hop.latency_ms;
+    res.control_path.insert(res.control_path.end(), hop.path.begin() + 1,
+                            hop.path.end());
+    best_dist = NodeId::distance_cw(moved->c.id, target);
+    cur = moved->c.host;
+    last_chased = moved->c.id;
   }
   return res;
 }
@@ -427,7 +459,7 @@ Network::Transfer Network::splice_in(VirtualNode& vn, NodeIndex pred_router,
   // plain removal would not restore).
   const std::vector<NeighborPtr> pred_group_before = pred->successors;
   insert_sorted_successor(*pred, self, cfg_.successor_group);
-  pred_r.reindex_vnode(pred->id);
+  pred_r.reindex();
 
   // Ephemeral backpointers that now fall past vn migrate from pred to vn
   // (piggybacked on the join reply, no extra messages).
@@ -448,7 +480,7 @@ Network::Transfer Network::splice_in(VirtualNode& vn, NodeIndex pred_router,
     // pred's group would create a phantom successor: a ring member whose
     // vnode is never installed anywhere.
     pred->successors = pred_group_before;
-    pred_r.reindex_vnode(pred->id);
+    pred_r.reindex();
     total.ok = false;
     return total;
   }
@@ -544,7 +576,7 @@ Network::Transfer Network::splice_in(VirtualNode& vn, NodeIndex pred_router,
         NeighborPtr{install.neighbor,
                     static_cast<NodeIndex>(install.neighbor_host)},
         cfg_.successor_group);
-    routers_[next.host]->reindex_vnode(deeper->id);
+    routers_[next.host]->reindex();
     walk_from = next.host;
     walk = next;
   }
@@ -731,7 +763,7 @@ std::uint64_t Network::refill_successors(VirtualNode& vn, sim::MsgCategory cat,
       if (exclude.has_value() && s.id == *exclude) continue;
       insert_sorted_successor(vn, s, cfg_.successor_group);
     }
-    routers_[vn.home]->reindex_vnode(vn.id);
+    routers_[vn.home]->reindex();
   }
   return t.messages;
 }
@@ -823,7 +855,7 @@ RepairStats Network::remove_host(const NodeId& id) {
       if (had) {
         remove_successor(*p, torn);
         ++stats.pointers_torn;
-        routers_[walk.host]->reindex_vnode(p->id);
+        routers_[walk.host]->reindex();
         cleaned.push_back(walk);
       }
       // The nearest predecessor inherits orphaned ephemeral backpointers.
@@ -891,7 +923,7 @@ std::uint32_t Network::tear_unreachable_pointers() {
   std::uint32_t torn = 0;
   for (auto& r : routers_) {
     if (!topo_->graph.node_up(r->index())) continue;
-    std::vector<NodeId> dirty;
+    bool dirty = false;
     for (const auto& [vid, vn_const] : r->vnodes()) {
       VirtualNode* vn = r->find_vnode(vid);
       const std::size_t before = vn->successors.size();
@@ -909,10 +941,10 @@ std::uint32_t Network::tear_unreachable_pointers() {
       }
       if (vn->successors.size() != before) {
         torn += static_cast<std::uint32_t>(before - vn->successors.size());
-        dirty.push_back(vid);
+        dirty = true;
       }
     }
-    for (const NodeId& vid : dirty) r->reindex_vnode(vid);
+    if (dirty) r->reindex();
   }
   return torn;
 }
@@ -1021,7 +1053,7 @@ RepairStats Network::repair_partitions() {
         changed = true;
       }
       if (changed) {
-        routers_[vhost]->reindex_vnode(vid);
+        routers_[vhost]->reindex();
         ++stats.ids_rejoined;
       }
     }
@@ -1202,8 +1234,13 @@ bool Network::cross_link(NodeIndex u, NodeIndex v, bool labeled,
 }
 
 RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
-                          std::uint64_t trace_id) {
+                          std::uint64_t trace_id, const Delivery& delivery,
+                          std::vector<NodeIndex>* traversed,
+                          NodeId* absorbed) {
   RouteStats stats;
+  std::vector<NodeIndex> own_walk;
+  std::vector<NodeIndex>& walk = traversed != nullptr ? *traversed : own_walk;
+  walk.clear();
   if (src_router >= routers_.size() || !topo_->graph.node_up(src_router)) {
     return stats;
   }
@@ -1225,10 +1262,11 @@ RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
         .frame_bytes = static_cast<std::uint32_t>(data_frame_bytes_),
         .chased = chased});
   };
-  const auto deliver = [&](NodeIndex at) {
+  const auto deliver = [&](NodeIndex at, const NodeId& id) {
     stats.delivered = true;
     sim_.metrics().add(delivered_id_);
-    rec(obs::HopKind::kDeliver, at, dest);
+    rec(obs::HopKind::kDeliver, at, id);
+    if (absorbed != nullptr) *absorbed = id;
   };
   rec(obs::HopKind::kStart, src_router, dest);
   // Oracle: the IGP distance to the destination's hosting router, for the
@@ -1238,17 +1276,20 @@ RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
   }
 
   // Label-switched fast path (DESIGN.md section 15): a packet of an
-  // installed flow enters holding its first label.
-  std::uint32_t label =
-      cfg_.enable_labels ? ingress_label(src_router, dest) : kNoLabel;
+  // installed flow enters holding its first label.  Only exact-id packets
+  // use labels.
+  const bool exact = delivery.rule == Delivery::Rule::kExact;
+  std::uint32_t label = cfg_.enable_labels && exact
+                            ? ingress_label(src_router, dest)
+                            : kNoLabel;
   NodeIndex cur = src_router;
   routers_[cur]->count_traversal();
-  std::vector<NodeIndex> traversed{cur};
+  walk.push_back(cur);
   // Label-install bookkeeping: the walk qualifies only when it completes
   // without resets (no stale pointers, no ephemeral leg, no dead chases) --
   // then the path is a stable pointer path and a later greedy run would
   // reproduce it exactly, which is what makes switching on its labels safe.
-  // ring_hops_at[i] is stats.ring_hops when the walk left traversed[i].
+  // ring_hops_at[i] is stats.ring_hops when the walk left walk[i].
   bool clean_walk = true;
   std::vector<std::uint32_t> ring_hops_at;
   std::optional<Candidate> chasing;
@@ -1258,6 +1299,35 @@ RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
   NodeId committed_dist = NodeId{}.minus(NodeId::from_u64(1));
   std::set<NodeId> dead_this_walk;
 
+  // Delivery to resident `id` at the current router.
+  const auto absorb = [&](const NodeId& id) {
+    deliver(cur, id);
+    // Optional data-plane snooping: traversed routers cache the absorbing
+    // ID now that its location is confirmed.
+    if (cfg_.cache_data_paths) cache_along_path(walk, id, cur);
+    // A reset-free walk over a pointer path is stable: label it so the
+    // flow's next packets forward by array index.  (Not under data-path
+    // snooping -- the insert above mutates caches at every delivery, which
+    // a labeled packet would skip.)
+    if (exact && cfg_.enable_labels && !cfg_.cache_data_paths && clean_walk &&
+        walk.size() >= 2 && !label_flows_.contains({src_router, dest})) {
+      ring_hops_at.push_back(stats.ring_hops);
+      install_label_flow(src_router, dest, walk, ring_hops_at);
+    }
+  };
+  // The ID that takes the packet at router r, if any: the destination
+  // itself, or under the first-member rule the lowest group member there.
+  const auto absorber = [&](const Router& r) -> std::optional<NodeId> {
+    if (delivery.rule == Delivery::Rule::kFirstMember) {
+      for (const auto& [vid, vn] : r.vnodes()) {
+        if (delivery.member(vid)) return vid;
+      }
+      return std::nullopt;
+    }
+    if (r.hosts(dest)) return dest;
+    return std::nullopt;
+  };
+
   for (std::uint32_t step = 0; step < cfg_.max_forwarding_hops; ++step) {
     Router& r = *routers_[cur];
     if (label != kNoLabel) {
@@ -1266,7 +1336,7 @@ RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
       if (const LabelEntry* e = r.labels().lookup(label)) {
         stats.ring_hops = e->ring_hops;
         if (e->out == graph::kInvalidNode) {
-          deliver(cur);
+          deliver(cur, dest);
           return stats;
         }
         const NodeIndex next = e->out;
@@ -1276,6 +1346,7 @@ RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
           return stats;
         }
         cur = next;
+        walk.push_back(cur);
         rec(obs::HopKind::kLabelSwitch, cur, dest);
         continue;
       }
@@ -1284,24 +1355,8 @@ RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
       label = kNoLabel;
       clean_walk = false;
     }
-    // Delivery checks: resident vnode, or ephemeral backpointer here.
-    if (r.hosts(dest)) {
-      deliver(cur);
-      // Optional data-plane snooping: traversed routers cache the
-      // destination now that its location is confirmed.
-      if (cfg_.cache_data_paths) {
-        cache_along_path(traversed, dest, cur);
-      }
-      // A reset-free walk over a pointer path is stable: label it so the
-      // flow's next packets forward by array index.  (Not under data-path
-      // snooping -- the insert above mutates caches at every delivery, which
-      // a labeled packet would skip.)
-      if (cfg_.enable_labels && !cfg_.cache_data_paths && clean_walk &&
-          traversed.size() >= 2 &&
-          !label_flows_.contains({src_router, dest})) {
-        ring_hops_at.push_back(stats.ring_hops);
-        install_label_flow(src_router, dest, traversed, ring_hops_at);
-      }
+    if (const auto id = absorber(r)) {
+      absorb(*id);
       return stats;
     }
     // An ephemeral backpointer names a gateway, not a residency proof:
@@ -1332,48 +1387,39 @@ RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
           rec(obs::HopKind::kFaultDrop, path[i], dest);
           return stats;
         }
+        walk.push_back(path[i + 1]);
       }
-      deliver(*egw);
+      deliver(*egw, dest);
       return stats;
     }
 
-    // Algorithm 2: best resident/successor candidate vs best cached pointer.
-    std::vector<std::pair<Candidate, bool>> cands;  // candidate, from-cache
-    if (auto c = r.vn_best_match(dest)) cands.emplace_back(*c, false);
-    if (const CacheEntry* e = r.cache().best_match(dest)) {
-      if (map_->route_valid(e->path)) {
-        cands.emplace_back(Candidate{e->id, e->host, false}, true);
-      }
-    }
-    std::sort(cands.begin(), cands.end(),
-              [&](const auto& a, const auto& b) {
-                return NodeId::closer_to(dest, a.first.id, b.first.id);
-              });
-
-    bool switched = false;
-    for (const auto& [c, from_cache] : cands) {
-      if (dead_this_walk.contains(c.id)) {
-        r.cache().erase(c.id);
-        continue;
-      }
-      const NodeId d = NodeId::distance_cw(c.id, dest);
-      if (d < committed_dist) {
-        chasing = c;
-        chasing_origin = from_cache ? cur : graph::kInvalidNode;
-        committed_dist = d;
-        ++stats.ring_hops;
-        switched = true;
-        rec(from_cache ? obs::HopKind::kCachePointer
-                       : obs::HopKind::kRingPointer,
-            cur, c.id);
-        break;
-      }
+    // Algorithm 2: switch to the closer of the best resident/successor
+    // candidate and the best cached pointer when it makes progress.
+    const auto pick = greedy_step(
+        r, *map_, dest, dead_this_walk, [&](const Pick& p) {
+          return NodeId::distance_cw(p.c.id, dest) < committed_dist;
+        });
+    if (pick.has_value()) {
+      chasing = pick->c;
+      chasing_origin = pick->from_cache ? cur : graph::kInvalidNode;
+      committed_dist = NodeId::distance_cw(pick->c.id, dest);
+      ++stats.ring_hops;
+      rec(pick->from_cache ? obs::HopKind::kCachePointer
+                           : obs::HopKind::kRingPointer,
+          cur, pick->c.id);
     }
     if (!chasing.has_value()) {
       rec(obs::HopKind::kDrop, cur, dest);
       return stats;  // no way to make progress
     }
-    if (!switched && cur == chasing->host) {
+    // Owner rule: the chased pointer is a group member hosted right here
+    // (reached, or resident where the walk already stands).
+    if (delivery.rule == Delivery::Rule::kOwner &&
+        delivery.member(chasing->id) && r.hosts(chasing->id)) {
+      absorb(chasing->id);
+      return stats;
+    }
+    if (!pick.has_value() && cur == chasing->host) {
       if (r.hosts(chasing->id)) {
         // The chased ID is alive here and offers no further progress: the
         // destination genuinely does not exist in this component.
@@ -1430,7 +1476,7 @@ RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
     }
     ring_hops_at.push_back(stats.ring_hops);
     cur = *next;
-    traversed.push_back(cur);
+    walk.push_back(cur);
     rec(obs::HopKind::kForward, cur, chasing->id);
   }
   rec(obs::HopKind::kDrop, cur, dest);

@@ -14,7 +14,9 @@
 //                        paths;
 //   * route           -- Algorithm 2: per-router greedy forwarding over
 //                        resident virtual nodes and pointer caches (or,
-//                        for an installed flow, per-hop label switching);
+//                        for an installed flow, per-hop label switching),
+//                        for unicast and, with a group delivery rule,
+//                        anycast packets;
 //   * fail_host       -- session timeout; teardown messages to successors /
 //                        predecessors plus the directed flood that clears
 //                        cached state (section 3.2, "Host failure");
@@ -170,8 +172,17 @@ class Network {
   /// cross_link, so the modes draw identical faults.  With a flight recorder
   /// installed, every forwarding decision is recorded under `trace_id` (0 =
   /// allocate a fresh id); the id used lands in RouteStats::trace_id.
+  ///
+  /// `delivery` picks the stop rule; a group rule routes an anycast packet
+  /// through this same loop and never looks up or installs a label flow (a
+  /// replayed exact-id path could pass a router the group rule absorbs at).
+  /// When non-null, `traversed` is overwritten with the routers the packet
+  /// reached, src_router first, and `absorbed` receives the ID that took
+  /// the packet on delivery.
   RouteStats route(NodeIndex src_router, const NodeId& dest,
-                   std::uint64_t trace_id = 0);
+                   std::uint64_t trace_id = 0, const Delivery& delivery = {},
+                   std::vector<NodeIndex>* traversed = nullptr,
+                   NodeId* absorbed = nullptr);
 
   // -- observability --------------------------------------------------------
   /// Installs (or removes, with nullptr) the per-packet hop recorder.  The

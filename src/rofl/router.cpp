@@ -31,7 +31,7 @@ void Router::remove_vnode(const NodeId& id) {
   if (!vnodes_.erase(id)) return;
   // Full rebuild keeps the resident flag exact even when the removed ID was
   // also some co-resident vnode's successor.
-  reindex_vnode(id);
+  reindex();
 }
 
 VirtualNode* Router::find_vnode(const NodeId& id) { return vnodes_.find(id); }
@@ -40,11 +40,8 @@ const VirtualNode* Router::find_vnode(const NodeId& id) const {
   return vnodes_.find(id);
 }
 
-void Router::reindex_vnode(const NodeId& id) {
-  // Successor sets are small (successor-group size), so rebuild the whole
-  // index contribution of this vnode: drop all non-resident refs we can't
-  // attribute, which requires a full rebuild of the index.  Cheaper: rebuild
-  // from scratch over all vnodes -- still O(resident * group) and only done
+void Router::reindex() {
+  // Rebuild from scratch over all vnodes: O(resident * group), and only done
   // on ring maintenance, not on forwarding.
   known_ids_.clear();
   known_ptrs_.clear();
@@ -55,7 +52,6 @@ void Router::reindex_vnode(const NodeId& id) {
       index_ptr(s.id, s.host, /*resident=*/false);
     }
   }
-  (void)id;
 }
 
 void Router::add_ephemeral_backpointer(const NodeId& id, NodeIndex gateway) {
@@ -139,7 +135,6 @@ void Router::index_ptr(const NodeId& id, NodeIndex host, bool resident) {
   const std::size_t pos = static_cast<std::size_t>(it - known_ids_.begin());
   if (it != known_ids_.end() && *it == id) {
     IndexedPtr& p = known_ptrs_[pos];
-    ++p.refs;
     if (resident) {
       p.resident = true;
       p.host = host;
@@ -148,7 +143,7 @@ void Router::index_ptr(const NodeId& id, NodeIndex host, bool resident) {
   }
   known_ids_.insert(it, id);
   known_ptrs_.insert(known_ptrs_.begin() + static_cast<std::ptrdiff_t>(pos),
-                     IndexedPtr{host, resident, 1});
+                     IndexedPtr{host, resident});
   eytz_dirty_ = true;  // sorted positions shifted; mirror rebuilt on lookup
 }
 

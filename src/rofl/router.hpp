@@ -53,8 +53,9 @@ class Router {
   [[nodiscard]] const VnodeTable& vnodes() const { return vnodes_; }
   [[nodiscard]] std::size_t resident_count() const { return vnodes_.size(); }
 
-  /// Re-indexes a vnode's successor set after the caller mutated it.
-  void reindex_vnode(const NodeId& id);
+  /// Rebuilds the greedy index after the caller mutated some vnode's
+  /// successor set.
+  void reindex();
 
   // -- ephemeral backpointers (section 2.2, "Ephemeral hosts") --------------
   /// Called on the *predecessor's* router: remembers that ephemeral `id`
@@ -110,12 +111,11 @@ class Router {
   // Greedy index over {resident IDs} U {their successors}, kept sorted by
   // ID.  Struct-of-arrays: vn_best_match searches the contiguous key vector
   // (the per-packet hot loop) and only dereferences the value lane once, at
-  // the final position.  Values carry a refcount because several vnodes can
-  // share a successor ID.
+  // the final position.  Several vnodes can share a successor ID; it is
+  // indexed once, resident if any vnode with that ID is.
   struct IndexedPtr {
     NodeIndex host;
     bool resident;
-    int refs;
   };
   std::vector<NodeId> known_ids_;
   std::vector<IndexedPtr> known_ptrs_;

@@ -92,6 +92,24 @@ struct JoinStats {
   double latency_ms = 0.0;     // completion time (parallel messages overlap)
 };
 
+/// Which resident ID absorbs a data packet (Network::route).  Unicast
+/// (kExact) delivers only to the destination itself.  The group rules serve
+/// anycast (section 5.2), where every ID in [lo, hi] -- the suffixes of one
+/// group G -- counts as the destination: kFirstMember absorbs at the first
+/// router hosting any member, kOwner forwards greedily until the chased
+/// pointer is a member hosted at the current router (the member owning the
+/// destination's suffix).
+struct Delivery {
+  enum class Rule : std::uint8_t { kExact, kFirstMember, kOwner };
+  Rule rule = Rule::kExact;
+  NodeId lo;  // group range, read only by the group rules
+  NodeId hi;
+
+  [[nodiscard]] bool member(const NodeId& id) const {
+    return lo <= id && id <= hi;
+  }
+};
+
 /// Outcome of routing one data packet (figures 6a/6b).
 struct RouteStats {
   bool delivered = false;

@@ -7,6 +7,8 @@
 #include "ext/group_id.hpp"
 #include "ext/multicast.hpp"
 #include "ext/traffic_control.hpp"
+#include "obs/flight_recorder.hpp"
+#include "sim/faults.hpp"
 
 namespace rofl::ext {
 namespace {
@@ -86,6 +88,47 @@ TEST(Anycast, JoinRequiresGroupKey) {
   const GroupId forged(Identity::generate(f.net->rng()));
   ASSERT_TRUE(anycast_join(*f.net, forged, 1, 3).ok);
   EXPECT_FALSE(anycast_route(*f.net, 0, g).delivered);
+}
+
+TEST(Anycast, CrossesLinksThroughTheFaultInjector) {
+  // An anycast packet is a data packet: every link it crosses draws from the
+  // installed injector, so a link that loses everything stops it.
+  IntraFixture f;
+  const GroupId g(Identity::generate(f.net->rng()));
+  ASSERT_TRUE(anycast_join(*f.net, g, 10, 2).ok);
+  ASSERT_TRUE(anycast_join(*f.net, g, 20, 17).ok);
+  obs::Registry& reg = f.net->simulator().metrics();
+  sim::FaultPlan plan;
+  plan.defaults.loss = 1.0;
+  sim::FaultInjector inj(plan, 5, &reg);
+  f.net->set_fault_injector(&inj);
+  const AnycastResult r = anycast_route(*f.net, 0, g);
+  EXPECT_FALSE(r.delivered);
+  EXPECT_GT(reg.counter_value(reg.counter("faults.dropped")), 0u);
+  f.net->set_fault_injector(nullptr);
+  EXPECT_TRUE(anycast_route(*f.net, 0, g).delivered);
+}
+
+TEST(Anycast, FlightRecorderTracesDeliveryAtTheAbsorbingRouter) {
+  IntraFixture f;
+  const GroupId g(Identity::generate(f.net->rng()));
+  ASSERT_TRUE(anycast_join(*f.net, g, 10, 2).ok);
+  ASSERT_TRUE(anycast_join(*f.net, g, 20, 17).ok);
+  obs::FlightRecorder fr(1024);
+  f.net->set_flight_recorder(&fr);
+  const AnycastResult r = anycast_route(*f.net, 0, g);
+  ASSERT_TRUE(r.delivered);
+  ASSERT_NE(r.trace_id, 0u);
+  ASSERT_GE(r.path.size(), 2u);
+  const std::vector<obs::HopRecord> hops = fr.trace(r.trace_id);
+  ASSERT_FALSE(hops.empty());
+  EXPECT_EQ(hops.back().kind, obs::HopKind::kDeliver);
+  EXPECT_EQ(hops.back().node, r.path.back());
+  EXPECT_EQ(hops.back().chased, r.member);
+  const std::string dump = fr.format_trace(r.trace_id);
+  const std::size_t last = dump.rfind('\n', dump.size() - 2);
+  ASSERT_NE(last, std::string::npos);
+  EXPECT_NE(dump.find("deliver", last), std::string::npos) << dump;
 }
 
 TEST(Multicast, TreeCoversMembersAndVerifies) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "ext/multicast.hpp"
 #include "ext/weighted_anycast.hpp"
@@ -16,13 +17,13 @@ struct IntraFixture {
   graph::IspTopology topo;
   std::unique_ptr<intra::Network> net;
 
-  explicit IntraFixture(std::uint64_t seed = 404) {
+  explicit IntraFixture(std::uint64_t seed = 404, intra::Config cfg = {}) {
     Rng trng(seed);
     graph::IspParams p;
     p.router_count = 40;
     p.pop_count = 6;
     topo = graph::make_isp_topology(p, trng);
-    net = std::make_unique<intra::Network>(&topo, intra::Config{}, seed + 1);
+    net = std::make_unique<intra::Network>(&topo, cfg, seed + 1);
     for (int i = 0; i < 60; ++i) (void)net->join_random_host();
   }
 };
@@ -54,22 +55,35 @@ TEST(WeightedAnycast, LoadFollowsCapacity) {
 }
 
 TEST(WeightedAnycast, OwnerMatchesDelivery) {
-  IntraFixture f;
-  const GroupId g(Identity::generate(f.net->rng()));
-  WeightedAnycast wa(g);
-  wa.add_replica(5, 2.0);
-  wa.add_replica(11, 1.0);
-  wa.add_replica(23, 1.0);
-  ASSERT_TRUE(wa.deploy(*f.net));
-  // Route with explicit suffixes and compare against the analytic owner.
-  for (const std::uint32_t probe :
-       {0u, 1u << 30, 1u << 31, 3u << 30, 0xFFFFFFFFu}) {
-    const AnycastResult r = anycast_route(*f.net, 0, g, probe);
-    ASSERT_TRUE(r.delivered) << probe;
-    const auto* owner = wa.owner_of(probe);
-    ASSERT_NE(owner, nullptr);
-    EXPECT_EQ(r.member, owner->member_id) << "suffix " << probe;
+  // Second input: labels on.  Group routes neither look up nor install label
+  // flows, so every probe (sent twice) reaches the same member either way.
+  std::vector<NodeId> members[2];
+  for (const bool labels : {false, true}) {
+    intra::Config cfg;
+    cfg.enable_labels = labels;
+    IntraFixture f(404, cfg);
+    const GroupId g(Identity::generate(f.net->rng()));
+    WeightedAnycast wa(g);
+    wa.add_replica(5, 2.0);
+    wa.add_replica(11, 1.0);
+    wa.add_replica(23, 1.0);
+    ASSERT_TRUE(wa.deploy(*f.net));
+    const std::uint64_t flows = f.net->label_totals().flows;
+    // Route with explicit suffixes and compare against the analytic owner.
+    for (const std::uint32_t probe :
+         {0u, 1u << 30, 1u << 31, 3u << 30, 0xFFFFFFFFu}) {
+      for (int rep = 0; rep < 2; ++rep) {
+        const AnycastResult r = anycast_route(*f.net, 0, g, probe);
+        ASSERT_TRUE(r.delivered) << probe;
+        const auto* owner = wa.owner_of(probe);
+        ASSERT_NE(owner, nullptr);
+        EXPECT_EQ(r.member, owner->member_id) << "suffix " << probe;
+        members[labels ? 1 : 0].push_back(r.member);
+      }
+    }
+    EXPECT_EQ(f.net->label_totals().flows, flows) << "labels " << labels;
   }
+  EXPECT_EQ(members[0], members[1]);
 }
 
 TEST(WeightedAnycast, SingleReplicaTakesAll) {

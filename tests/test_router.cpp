@@ -91,7 +91,7 @@ TEST(Router, ReindexAfterSuccessorMutation) {
   VirtualNode* vn = r.add_vnode(make_vnode(10, {{30, 2}}));
   ASSERT_NE(vn, nullptr);
   vn->successors[0] = NeighborPtr{id(25), 4};
-  r.reindex_vnode(id(10));
+  r.reindex();
   const auto c = r.vn_best_match(id(27));
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(c->id, id(25));
