@@ -1,15 +1,15 @@
 // micro_datapath -- google-benchmark microbenchmarks for the hot paths that
 // gate a software ROFL forwarder: ring arithmetic, SHA-256 identity
 // derivation, bloom probes, pointer-cache and virtual-node best-match
-// lookups (the per-packet operations of Algorithm 2), and end-to-end greedy
-// forwarding on a warm intradomain network.
+// lookups (the per-packet operations of Algorithm 2), the greedy vs labeled
+// per-hop decision, the event loop and the all-routers SPF recompute.
+// End-to-end route and join cost is perfbench's (rofl.route_us.*,
+// rofl.join_us.*), and codec cost is bench/wire_codec's.
 //
 // The *Baseline benches reimplement the pre-flattening datapath (std::map
 // ring state, tick->id / id->tick LRU double-map, std::priority_queue of
 // std::function events) so the speedup of the flat structures is measured
-// in-tree rather than asserted.  Results are also written to
-// BENCH_datapath.json (see bench/emit_json.hpp and
-// scripts/bench_trajectory.py).
+// in-tree rather than asserted.
 #include <benchmark/benchmark.h>
 
 #include <functional>
@@ -17,7 +17,6 @@
 #include <queue>
 #include <vector>
 
-#include "bench/emit_json.hpp"
 #include "graph/isp_topology.hpp"
 #include "rofl/label_table.hpp"
 #include "rofl/network.hpp"
@@ -25,7 +24,6 @@
 #include "util/bloom.hpp"
 #include "util/identity.hpp"
 #include "util/sha256.hpp"
-#include "wire/messages.hpp"
 
 namespace rofl {
 namespace {
@@ -200,7 +198,6 @@ BENCHMARK(BM_PointerCacheInsertEvictMapBaseline)->Arg(1024);
 struct WarmNetwork {
   graph::IspTopology topo;
   std::unique_ptr<intra::Network> net;
-  std::vector<NodeId> ids;
 
   WarmNetwork() {
     Rng trng(6);
@@ -212,7 +209,7 @@ struct WarmNetwork {
       const Identity ident = Identity::generate(net->rng());
       const auto gw = static_cast<graph::NodeIndex>(
           net->rng().index(net->router_count()));
-      if (net->join_host(ident, gw).ok) ids.push_back(ident.id());
+      (void)net->join_host(ident, gw);
     }
   }
 };
@@ -435,82 +432,7 @@ void BM_EventLoopPriorityQueueBaseline(benchmark::State& state) {
 }
 BENCHMARK(BM_EventLoopPriorityQueueBaseline);
 
-// -- end-to-end -------------------------------------------------------------
-
-void BM_IntraGreedyRoute(benchmark::State& state) {
-  WarmNetwork& w = warm();
-  Rng rng(9);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const NodeId dest = w.ids[i++ % w.ids.size()];
-    const auto src =
-        static_cast<graph::NodeIndex>(rng.index(w.net->router_count()));
-    benchmark::DoNotOptimize(w.net->route(src, dest));
-  }
-}
-BENCHMARK(BM_IntraGreedyRoute);
-
-// Same topology/population as WarmNetwork but with the label fast path on
-// and a fixed flow set pre-routed once, so the timed loop measures routes
-// served off installed label chains (labels.hits, not installs).
-struct WarmLabeledNetwork {
-  graph::IspTopology topo;
-  std::unique_ptr<intra::Network> net;
-  std::vector<std::pair<graph::NodeIndex, NodeId>> flows;
-
-  WarmLabeledNetwork() {
-    Rng trng(6);
-    topo = graph::make_rocketfuel_like(graph::RocketfuelAs::kAs3967, trng);
-    intra::Config cfg;
-    cfg.cache_capacity = 4096;
-    cfg.enable_labels = true;
-    net = std::make_unique<intra::Network>(&topo, cfg, 7);
-    std::vector<NodeId> ids;
-    for (int i = 0; i < 2000; ++i) {
-      const Identity ident = Identity::generate(net->rng());
-      const auto gw = static_cast<graph::NodeIndex>(
-          net->rng().index(net->router_count()));
-      if (net->join_host(ident, gw).ok) ids.push_back(ident.id());
-    }
-    Rng frng(9);
-    for (int i = 0; i < 256; ++i) {
-      const NodeId dest = ids[frng.index(ids.size())];
-      const auto src =
-          static_cast<graph::NodeIndex>(frng.index(net->router_count()));
-      (void)net->route(src, dest);  // greedy walk; installs the chain
-      flows.emplace_back(src, dest);
-    }
-  }
-};
-
-WarmLabeledNetwork& warm_labeled() {
-  static WarmLabeledNetwork w;
-  return w;
-}
-
-void BM_IntraLabeledRoute(benchmark::State& state) {
-  // End-to-end counterpart of BM_IntraGreedyRoute: every route replays an
-  // installed label chain, so the delta against the greedy bench is the
-  // whole-route payoff of the per-hop A/B above.
-  WarmLabeledNetwork& w = warm_labeled();
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto& [src, dest] = w.flows[i++ % w.flows.size()];
-    benchmark::DoNotOptimize(w.net->route(src, dest));
-  }
-}
-BENCHMARK(BM_IntraLabeledRoute);
-
-void BM_IntraJoin(benchmark::State& state) {
-  WarmNetwork& w = warm();
-  for (auto _ : state) {
-    const Identity ident = Identity::generate(w.net->rng());
-    const auto gw = static_cast<graph::NodeIndex>(
-        w.net->rng().index(w.net->router_count()));
-    benchmark::DoNotOptimize(w.net->join_host(ident, gw));
-  }
-}
-BENCHMARK(BM_IntraJoin);
+// -- link-state repair ----------------------------------------------------
 
 void BM_AllRoutersSpf(benchmark::State& state) {
   // The repair-time SPF recompute over every live source, serial vs pooled.
@@ -526,89 +448,7 @@ void BM_AllRoutersSpf(benchmark::State& state) {
 }
 BENCHMARK(BM_AllRoutersSpf)->Arg(0)->Arg(2)->Arg(4);
 
-// Control-plane codec cost on the two ends of the size spectrum: a 37-byte
-// PointerInstall payload (the most common maintenance message) and the
-// section-6.3 256-finger JoinRequest whose frame fragments at the MTU.
-wire::msg::ControlMessage make_codec_message(std::int64_t fingers) {
-  if (fingers == 0) {
-    wire::msg::PointerInstall pi;
-    pi.subject = NodeId(0x1234, 0x5678);
-    pi.neighbor = NodeId(0x9abc, 0xdef0);
-    pi.neighbor_host = 7;
-    pi.op = 1;
-    return pi;
-  }
-  Rng rng(41);
-  wire::msg::JoinRequest jr;
-  jr.nonce = rng.next_u64();
-  jr.gateway = 3;
-  jr.fingers.reserve(static_cast<std::size_t>(fingers));
-  for (std::int64_t i = 0; i < fingers; ++i) {
-    jr.fingers.push_back({static_cast<std::uint32_t>(rng.next_u64()),
-                          static_cast<std::uint16_t>(rng.next_u64())});
-  }
-  return jr;
-}
-
-void BM_ControlEncode(benchmark::State& state) {
-  const wire::msg::ControlMessage m = make_codec_message(state.range(0));
-  const NodeId src(1, 2), dst(3, 4);
-  std::uint64_t bytes = 0;
-  for (auto _ : state) {
-    const auto frame = wire::msg::encode_control(m, src, dst);
-    bytes += frame.size();
-    benchmark::DoNotOptimize(frame.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
-}
-BENCHMARK(BM_ControlEncode)->Arg(0)->Arg(256);
-
-void BM_ControlDecode(benchmark::State& state) {
-  const wire::msg::ControlMessage m = make_codec_message(state.range(0));
-  const auto frame = wire::msg::encode_control(m, NodeId(1, 2), NodeId(3, 4));
-  std::uint64_t bytes = 0;
-  for (auto _ : state) {
-    auto decoded = wire::msg::decode_control(frame);
-    bytes += frame.size();
-    benchmark::DoNotOptimize(decoded);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
-}
-BENCHMARK(BM_ControlDecode)->Arg(0)->Arg(256);
-
-// Snapshot of the warm fixture's metrics registry for the JSON emitter.
-// The pointer-cache totals (hit/miss/eviction over every router) are folded
-// in as registry counters first, so BENCH_datapath.json records cache
-// effectiveness for the workload that produced the timings.
-std::string warm_metrics_snapshot() {
-  WarmNetwork& w = warm();
-  const intra::Network::CacheTotals totals = w.net->cache_totals();
-  obs::Registry& m = w.net->simulator().metrics();
-  m.set_counter(m.counter("rofl.cache.hits"), totals.hits);
-  m.set_counter(m.counter("rofl.cache.misses"), totals.misses);
-  m.set_counter(m.counter("rofl.cache.evictions"), totals.evictions);
-  m.set_counter(m.counter("rofl.cache.stale_drops"), totals.stale_drops);
-  m.set_counter(m.counter("rofl.cache.entries"), totals.entries);
-  // Label fast-path effectiveness from the labeled fixture, re-namespaced
-  // into the snapshot registry so one JSON records both fixtures.
-  WarmLabeledNetwork& lw = warm_labeled();
-  obs::Registry& lm = lw.net->simulator().metrics();
-  const intra::Network::LabelTotals lt = lw.net->label_totals();
-  m.set_counter(m.counter("rofl.labels.flows"), lt.flows);
-  m.set_counter(m.counter("rofl.labels.entries"), lt.entries);
-  for (const char* name :
-       {"labels.installed", "labels.hits", "labels.misses",
-        "labels.teardowns", "labels.bytes_saved"}) {
-    m.set_counter(m.counter(std::string("rofl.") + name),
-                  lm.counter_value(lm.counter(name)));
-  }
-  return m.to_json(2);
-}
-
 }  // namespace
 }  // namespace rofl
 
-int main(int argc, char** argv) {
-  return rofl::bench::run_with_json(argc, argv, "BENCH_datapath.json",
-                                    rofl::warm_metrics_snapshot);
-}
+BENCHMARK_MAIN();

@@ -1,11 +1,10 @@
-// wire_codec -- per-type control-plane codec benchmarks (BENCH_wire.json).
+// wire_codec -- per-type control-plane codec benchmarks.
 //
-// One encode and one decode benchmark per ControlMessage alternative, so
-// the trajectory comparison can catch a regression in any single codec,
-// plus the CRC-32 they all pay for on its own.
-// The metrics snapshot records the exact wire size of each benchmarked
-// frame, pinning the section-6.3 byte accounting (1638-byte single-homed
-// JoinRequest at 256 fingers) into the emitted JSON.
+// One encode and one decode benchmark per ControlMessage alternative, so a
+// regression in any single codec shows on its own row, plus the CRC-32
+// they all pay for on its own.  The section-6.3 byte accounting (1638-byte
+// single-homed JoinRequest at 256 fingers) is pinned by
+// tests/test_wire_messages.cpp, not here.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -13,8 +12,6 @@
 #include <variant>
 #include <vector>
 
-#include "bench/emit_json.hpp"
-#include "obs/metrics.hpp"
 #include "util/identity.hpp"
 #include "wire/messages.hpp"
 
@@ -129,25 +126,7 @@ void BM_Crc32(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32)->Arg(64)->Arg(1634);
 
-/// Embeds the exact wire size of every benchmarked frame under "metrics",
-/// so BENCH_wire.json is also a regression pin for the byte accounting.
-std::string wire_size_snapshot() {
-  obs::Registry m;
-  const auto mix = message_mix();
-  for (const auto& [name, msg] : mix) {
-    const auto frame = wire::msg::encode_control(msg, NodeId(1, 2), NodeId(3, 4));
-    const auto pkt = wire::Packet::decode(frame);
-    m.set_counter(m.counter("wire.size." + name), frame.size());
-    m.set_counter(m.counter("wire.fragments." + name),
-                  pkt ? pkt->fragments() : 0);
-  }
-  return m.to_json(2);
-}
-
 }  // namespace
 }  // namespace rofl
 
-int main(int argc, char** argv) {
-  return rofl::bench::run_with_json(argc, argv, "BENCH_wire.json",
-                                    rofl::wire_size_snapshot);
-}
+BENCHMARK_MAIN();

@@ -4,28 +4,14 @@
 #include <cassert>
 #include <map>
 
+#include "util/fnv.hpp"
+
 namespace rofl::audit {
 
 namespace {
 
 sim::Simulator& driver_sim(intra::Network* net, inter::InterNetwork* inter) {
   return net != nullptr ? net->simulator() : inter->simulator();
-}
-
-// FNV-1a 64, rendered as hex; good enough for a run-to-run equality gate.
-std::uint64_t fnv1a(std::uint64_t h, std::string_view s) {
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
-
-std::string hex64(std::uint64_t v) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i, v >>= 4) out[i] = kDigits[v & 0xF];
-  return out;
 }
 
 }  // namespace
@@ -142,7 +128,7 @@ void Auditor::schedule_every(double interval_ms, double until_ms) {
 }
 
 std::string Auditor::reports_digest() const {
-  std::uint64_t h = 0xCBF29CE484222325ull;
+  std::uint64_t h = kFnvOffset;
   std::uint64_t hard = 0;
   std::uint64_t soft = 0;
   for (const AuditReport& rep : reports_) {

@@ -7,6 +7,7 @@
 #include "graph/isp_topology.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/timeline.hpp"
+#include "util/fnv.hpp"
 
 namespace rofl::audit {
 
@@ -26,27 +27,12 @@ graph::NodeIndex live_router(const intra::Network& net, std::uint64_t pick) {
 /// FNV-1a 64 over a route outcome's raw fields; trace_id is excluded so the
 /// digest is identical whether or not a flight recorder is installed.
 std::uint64_t fnv_route(std::uint64_t h, const intra::RouteStats& rs) {
-  const auto mix = [&h](const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 0x100000001B3ull;
-    }
-  };
   const std::uint8_t delivered = rs.delivered ? 1 : 0;
-  mix(&delivered, sizeof(delivered));
-  mix(&rs.physical_hops, sizeof(rs.physical_hops));
-  mix(&rs.ring_hops, sizeof(rs.ring_hops));
-  mix(&rs.shortest_hops, sizeof(rs.shortest_hops));
-  mix(&rs.latency_ms, sizeof(rs.latency_ms));
-  return h;
-}
-
-std::string hex64(std::uint64_t v) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i, v >>= 4) out[i] = kDigits[v & 0xF];
-  return out;
+  h = fnv1a(h, &delivered, sizeof(delivered));
+  h = fnv1a(h, &rs.physical_hops, sizeof(rs.physical_hops));
+  h = fnv1a(h, &rs.ring_hops, sizeof(rs.ring_hops));
+  h = fnv1a(h, &rs.shortest_hops, sizeof(rs.shortest_hops));
+  return fnv1a(h, &rs.latency_ms, sizeof(rs.latency_ms));
 }
 
 /// Registry snapshot with wall-clock histogram lines removed.
@@ -70,7 +56,7 @@ struct ChurnRunner {
   const std::vector<ChurnEvent>* schedule = nullptr;
   ChurnRunResult* res = nullptr;
   std::vector<NodeId> roster;  // hosts joined by this run and still live
-  std::uint64_t routes_fnv = 0xCBF29CE484222325ull;
+  std::uint64_t routes_fnv = kFnvOffset;
 
   void exec(std::size_t i) {
     const ChurnEvent& e = (*schedule)[i];

@@ -1,21 +1,10 @@
 #include "audit/shard_audit.hpp"
 
-#include <iomanip>
 #include <sstream>
 
+#include "util/fnv.hpp"
+
 namespace rofl::audit {
-
-namespace {
-
-std::uint64_t fnv1a(std::uint64_t h, std::string_view s) {
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
-
-}  // namespace
 
 std::string ShardAuditReport::to_string() const {
   std::ostringstream os;
@@ -26,12 +15,12 @@ std::string ShardAuditReport::to_string() const {
 }
 
 std::string ShardAuditReport::digest() const {
-  std::uint64_t h = 0xCBF29CE484222325ull;
+  std::uint64_t h = kFnvOffset;
   h = fnv1a(h, "checks=" + std::to_string(checks));
   for (const std::string& v : violations) h = fnv1a(h, ";" + v);
   std::ostringstream os;
   os << "checks=" << checks << ";hard=" << violations.size() << ";fnv="
-     << std::hex << std::setfill('0') << std::setw(16) << h;
+     << hex64(h);
   return os.str();
 }
 

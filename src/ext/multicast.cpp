@@ -71,8 +71,10 @@ MulticastGroup::JoinStats MulticastGroup::join(intra::Network& net,
   adj_[gateway];
   stats.ok = true;
   stats.intersected_tree = intersected;
+  // The walk above already charged every link it crossed (data for the
+  // anycast route, control for the source-mode path), so painting a
+  // crossed link adds no second message.
   stats.messages = painted;
-  net.simulator().counters().add(sim::MsgCategory::kControl, painted);
   return stats;
 }
 

@@ -5,6 +5,8 @@
 #include <iomanip>
 #include <sstream>
 
+#include "util/fnv.hpp"
+
 namespace rofl::obs {
 
 std::string_view to_string(HopKind k) {
@@ -32,36 +34,23 @@ FlightRecorder::FlightRecorder(std::size_t capacity) {
   ring_.resize(capacity);
 }
 
-namespace {
-
-std::uint64_t fnv1a_bytes(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
-
-}  // namespace
-
 void FlightRecorder::record(HopRecord r) {
   r.seq = next_seq_++;
   // Digest everything except seq (a recorder-global counter that depends on
   // interleaving) so identical hop sets digest identically however the
   // records were spread across recorders.
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  h = fnv1a_bytes(h, &r.trace_id, sizeof(r.trace_id));
-  h = fnv1a_bytes(h, &r.t_ms, sizeof(r.t_ms));
-  h = fnv1a_bytes(h, &r.domain, sizeof(r.domain));
-  h = fnv1a_bytes(h, &r.node, sizeof(r.node));
-  h = fnv1a_bytes(h, &r.category, sizeof(r.category));
-  h = fnv1a_bytes(h, &r.kind, sizeof(r.kind));
-  h = fnv1a_bytes(h, &r.frame_bytes, sizeof(r.frame_bytes));
+  std::uint64_t h = kFnvOffset;
+  h = fnv1a(h, &r.trace_id, sizeof(r.trace_id));
+  h = fnv1a(h, &r.t_ms, sizeof(r.t_ms));
+  h = fnv1a(h, &r.domain, sizeof(r.domain));
+  h = fnv1a(h, &r.node, sizeof(r.node));
+  h = fnv1a(h, &r.category, sizeof(r.category));
+  h = fnv1a(h, &r.kind, sizeof(r.kind));
+  h = fnv1a(h, &r.frame_bytes, sizeof(r.frame_bytes));
   const std::uint64_t chased_hi = r.chased.hi();
   const std::uint64_t chased_lo = r.chased.lo();
-  h = fnv1a_bytes(h, &chased_hi, sizeof(chased_hi));
-  h = fnv1a_bytes(h, &chased_lo, sizeof(chased_lo));
+  h = fnv1a(h, &chased_hi, sizeof(chased_hi));
+  h = fnv1a(h, &chased_lo, sizeof(chased_lo));
   content_digest_ += h;  // wrapping add: order-independent combination
   ring_[head_] = std::move(r);
   if (++head_ == ring_.size()) {

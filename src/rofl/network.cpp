@@ -987,18 +987,7 @@ RepairStats Network::repair_partitions() {
     assert(zero.verify_consistent());
   }
 
-  // Gather live stable vnodes per connected component.
-  const auto comp = topo_->graph.components();
-  std::map<NodeIndex, std::vector<std::pair<NodeId, NodeIndex>>> rings;
-  for (const auto& [id, host] : directory_) {
-    if (!topo_->graph.node_up(host)) continue;
-    const auto cls = host_class_.find(id);
-    if (cls != host_class_.end() && cls->second == HostClass::kEphemeral) continue;
-    rings[comp[host]].emplace_back(id, host);
-  }
-
-  for (auto& [component, members] : rings) {
-    std::sort(members.begin(), members.end());
+  for (const auto& [component, members] : stable_rings()) {
     const std::size_t n = members.size();
     for (std::size_t i = 0; i < n; ++i) {
       const auto& [vid, vhost] = members[i];
@@ -1589,19 +1578,21 @@ std::optional<NodeIndex> Network::hosting_router(const NodeId& id) const {
   return it->second;
 }
 
-bool Network::verify_rings(std::string* err, bool strict) const {
+Network::Rings Network::stable_rings() const {
   const auto comp = topo_->graph.components();
-  // Collect live stable vnodes per component.
-  std::map<NodeIndex, std::vector<std::pair<NodeId, NodeIndex>>> rings;
+  Rings rings;
   for (const auto& [id, host] : directory_) {
     if (!topo_->graph.node_up(host)) continue;
     const auto cls = host_class_.find(id);
     if (cls != host_class_.end() && cls->second == HostClass::kEphemeral) continue;
+    // directory_ iterates in id order, so every ring comes out sorted.
     rings[comp[host]].emplace_back(id, host);
   }
-  for (const auto& [component, members_const] : rings) {
-    auto members = members_const;
-    std::sort(members.begin(), members.end());
+  return rings;
+}
+
+bool Network::verify_rings(std::string* err, bool strict) const {
+  for (const auto& [component, members] : stable_rings()) {
     const std::size_t n = members.size();
     for (std::size_t i = 0; i < n; ++i) {
       const auto& [vid, vhost] = members[i];

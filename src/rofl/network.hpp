@@ -279,6 +279,12 @@ class Network {
   void reset_traffic_counters();
 
  private:
+  /// Live, non-ephemeral (id, hosting router) pairs per connected
+  /// component, each sorted by id: the canonical rings that
+  /// repair_partitions() rebuilds and verify_rings() checks against.
+  using Rings = std::map<NodeIndex, std::vector<std::pair<NodeId, NodeIndex>>>;
+  [[nodiscard]] Rings stable_rings() const;
+
   struct Transfer {
     bool ok = false;
     /// Distinguishes the two failure modes: `lost` means the message was

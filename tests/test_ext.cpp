@@ -181,6 +181,24 @@ TEST(Multicast, LeavePrunesBranches) {
   EXPECT_EQ(mc.send(*f.net, 3).members_reached, 2u);
 }
 
+TEST(Multicast, GraftChargesEachLinkOnce) {
+  // The anycast walk toward the tree charges the links it crosses; painting
+  // the graft along that walk must not charge them a second time.
+  IntraFixture f;
+  const GroupId g(Identity::generate(f.net->rng()));
+  MulticastGroup mc(g);
+  ASSERT_TRUE(mc.join(*f.net, 3, 1).ok);
+  const sim::Counters& c = f.net->simulator().counters();
+  const auto charged = [&c] {
+    return c.get(sim::MsgCategory::kData) + c.get(sim::MsgCategory::kControl);
+  };
+  const std::uint64_t before = charged();
+  const auto js = mc.join(*f.net, 27, 2);
+  ASSERT_TRUE(js.ok);
+  EXPECT_EQ(js.messages, 3u);
+  EXPECT_EQ(charged() - before, 3u);
+}
+
 TEST(Capability, IssueAndValidate) {
   Rng rng(31);
   const Identity host = Identity::generate(rng);

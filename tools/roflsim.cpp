@@ -73,6 +73,7 @@
 #include "obs/trace_export.hpp"
 #include "rofl/network.hpp"
 #include "sim/profiler.hpp"
+#include "util/fnv.hpp"
 #include "util/rusage.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -1035,10 +1036,7 @@ int cmd_shard(const Args& a) {
     std::cout << "\n-- merged metrics --\n";
     merged.print_table(std::cout);
   }
-  std::ostringstream digest;
-  digest << "0x" << std::hex << std::setfill('0') << std::setw(16)
-         << model.flight_digest();
-  std::cout << "flight digest: " << digest.str() << "\n";
+  std::cout << "flight digest: 0x" << hex64(model.flight_digest()) << "\n";
   std::cout << "shard audit: " << rep.digest() << "\n";
   if (!rep.clean() || a.flag("report")) std::cout << rep.to_string();
 
