@@ -112,7 +112,7 @@ void write_json(const std::vector<ChurnCell>& cells,
     out << "]";
   }
   out << "\n  }";
-  out << ",\n  \"metrics\": " << reference.metrics_json << "}\n";
+  out << ",\n  \"metrics\": " << reference.metrics_json << "\n}\n";
   std::cout << "JSON written to " << path << "\n";
 }
 

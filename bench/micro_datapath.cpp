@@ -2,7 +2,7 @@
 // gate a software ROFL forwarder: ring arithmetic, SHA-256 identity
 // derivation, bloom probes, pointer-cache and virtual-node best-match
 // lookups (the per-packet operations of Algorithm 2), the greedy vs labeled
-// per-hop decision, the event loop and the all-routers SPF recompute.
+// per-hop decision and the event loop.
 // End-to-end route and join cost is perfbench's (rofl.route_us.*,
 // rofl.join_us.*), and codec cost is bench/wire_codec's.
 //
@@ -431,22 +431,6 @@ void BM_EventLoopPriorityQueueBaseline(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kEventBatch);
 }
 BENCHMARK(BM_EventLoopPriorityQueueBaseline);
-
-// -- link-state repair ----------------------------------------------------
-
-void BM_AllRoutersSpf(benchmark::State& state) {
-  // The repair-time SPF recompute over every live source, serial vs pooled.
-  WarmNetwork& w = warm();
-  w.net->map().set_spf_threads(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    state.PauseTiming();
-    w.net->map().fail_link(0, w.topo.graph.neighbors(0).front().to);
-    w.net->map().restore_link(0, w.topo.graph.neighbors(0).front().to);
-    state.ResumeTiming();
-    w.net->map().recompute_all_spf();
-  }
-}
-BENCHMARK(BM_AllRoutersSpf)->Arg(0)->Arg(2)->Arg(4);
 
 }  // namespace
 }  // namespace rofl

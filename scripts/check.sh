@@ -30,9 +30,16 @@ TSAN_OPTIONS=halt_on_error=1 build-tsan/tests/rofl_tests \
   --gtest_filter='PumpHeader.*:DedupWindow.*:Loopback.*:Udp.*:Mesh.*:SpscQueue.*:BalancedShardMap.*:ShardedSimulator.*:ShardScaleModel.*'
 
 if [ "${ROFL_CHECK_FULL:-0}" = "1" ]; then
+  # Every bench runs even after one fails, so a failing gate cannot hide the
+  # benches that sort after it; the check still exits 1 if any failed.
+  failed=()
   for b in build/bench/*; do
     if [ -f "$b" ] && [ -x "$b" ]; then
-      "$b"
+      "$b" || failed+=("$(basename "$b")")
     fi
   done
+  if [ "${#failed[@]}" -gt 0 ]; then
+    for name in "${failed[@]}"; do echo "bench failed: $name" >&2; done
+    exit 1
+  fi
 fi

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <sstream>
 
 #include "graph/isp_topology.hpp"
 #include "obs/flight_recorder.hpp"
@@ -33,19 +32,6 @@ std::uint64_t fnv_route(std::uint64_t h, const intra::RouteStats& rs) {
   h = fnv1a(h, &rs.ring_hops, sizeof(rs.ring_hops));
   h = fnv1a(h, &rs.shortest_hops, sizeof(rs.shortest_hops));
   return fnv1a(h, &rs.latency_ms, sizeof(rs.latency_ms));
-}
-
-/// Registry snapshot with wall-clock histogram lines removed.
-std::string scrubbed_metrics(sim::Simulator& sim) {
-  std::istringstream in(sim.metrics().to_json(2));
-  std::string out;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.find("recompute_ms") != std::string::npos) continue;
-    out += line;
-    out += "\n";
-  }
-  return out;
 }
 
 /// Mutable run state shared by the scheduled event closures.  Closures
@@ -216,8 +202,7 @@ ChurnRunResult run_churn(const ChurnRunParams& params,
   if (params.timeline_window_ms > 0.0) {
     timeline.emplace(&net.simulator().metrics(),
                      obs::Timeline::Config{params.timeline_window_ms,
-                                           params.timeline_capacity,
-                                           {"recompute_ms"}});
+                                           params.timeline_capacity});
     net.simulator().set_timeline(&*timeline);
   }
 
@@ -246,7 +231,7 @@ ChurnRunResult run_churn(const ChurnRunParams& params,
 
   // Snapshot before the faults-off repair so two same-seed runs compare the
   // churn phase itself.
-  res.metrics_json = scrubbed_metrics(net.simulator());
+  res.metrics_json = net.simulator().metrics().to_json(2);
   if (timeline.has_value()) {
     timeline->flush(net.simulator().now_ms());
     res.timeline_jsonl = timeline->to_jsonl();

@@ -1,23 +1,18 @@
 #include "linkstate/link_state.hpp"
 
 #include <cassert>
-#include <chrono>
 
 #include "wire/messages.hpp"
 
 namespace rofl::linkstate {
 
 LinkStateMap::LinkStateMap(graph::Graph* g, sim::Simulator* sim)
-    : graph_(g), sim_(sim),
-      spf_threads_(util::ThreadPool::default_threads()) {
+    : graph_(g), sim_(sim) {
   assert(g != nullptr);
   spf_cache_.resize(g->node_count());
   if (sim_ != nullptr) {
     obs::Registry& m = sim_->metrics();
     spf_runs_id_ = m.counter("linkstate.spf.runs");
-    spf_recompute_ms_id_ = m.histogram(
-        "linkstate.spf.recompute_ms",
-        obs::Histogram::exponential_bounds(0.01, 2.0, 16));
     flood_fanout_id_ = m.histogram(
         "linkstate.flood.fanout",
         obs::Histogram::exponential_bounds(4.0, 2.0, 14));
@@ -30,6 +25,7 @@ void LinkStateMap::refresh_cache_epoch() const {
   if (spf_cache_version_ != version_) {
     for (auto& entry : spf_cache_) entry.reset();
     spf_cache_.resize(graph_->node_count());
+    components_.reset();
     spf_cache_version_ = version_;
   }
 }
@@ -43,59 +39,12 @@ const graph::ShortestPaths& LinkStateMap::spf(NodeIndex src) const {
   return *spf_cache_[src];
 }
 
-void LinkStateMap::set_spf_threads(std::size_t threads) {
-  if (threads == spf_threads_) return;
-  spf_threads_ = threads;
-  pool_.reset();  // rebuilt at the new width on next recompute
-}
-
-void LinkStateMap::recompute_all_spf() const {
-  // SPF duration is real computation, not virtual time: the wall-clock cost
-  // lands in the "linkstate.spf.recompute_ms" histogram and, when a tracer
-  // is installed, as a span at the current virtual timestamp.
-  const auto wall_start = std::chrono::steady_clock::now();
+const std::vector<NodeIndex>& LinkStateMap::components() const {
   refresh_cache_epoch();
-  const std::size_t n = graph_->node_count();
-  std::size_t stale = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!spf_cache_[i].has_value()) ++stale;
-  }
-  const auto finish = [&] {
-    if (sim_ == nullptr) return;
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - wall_start)
-            .count();
-    sim_->metrics().add(spf_runs_id_, stale);
-    sim_->metrics().observe(spf_recompute_ms_id_, wall_ms);
-    if (obs::Tracer* t = sim_->tracer()) {
-      t->complete("spf.recompute_all", "linkstate", sim_->now_ms() * 1000.0,
-                  wall_ms * 1000.0, /*track=*/1,
-                  {obs::TraceArg{"sources", std::uint64_t{stale}},
-                   obs::TraceArg{"wall_ms", wall_ms}});
-    }
-  };
-  // Deterministic merge: worker i writes only slot i, so the filled cache
-  // is independent of scheduling.  Tiny topologies skip the pool -- the
-  // fan-out overhead would dominate the Dijkstra runs themselves.
-  if (spf_threads_ == 0 || n < 64) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!spf_cache_[i].has_value()) {
-        spf_cache_[i] = graph_->dijkstra(static_cast<NodeIndex>(i));
-      }
-    }
-    finish();
-    return;
-  }
-  if (pool_ == nullptr || pool_->thread_count() != spf_threads_) {
-    pool_ = std::make_unique<util::ThreadPool>(spf_threads_);
-  }
-  pool_->parallel_for(n, [this](std::size_t i) {
-    if (!spf_cache_[i].has_value()) {
-      spf_cache_[i] = graph_->dijkstra(static_cast<NodeIndex>(i));
-    }
-  });
-  finish();
+  // The BFS marks reachable exactly the up nodes over live links that
+  // Graph::dijkstra relaxes, so reachable() agrees with spf() without one.
+  if (!components_.has_value()) components_ = graph_->components();
+  return *components_;
 }
 
 std::optional<NodeIndex> LinkStateMap::next_hop(NodeIndex u, NodeIndex v) const {
@@ -110,7 +59,8 @@ std::vector<NodeIndex> LinkStateMap::path(NodeIndex u, NodeIndex v) const {
 }
 
 bool LinkStateMap::reachable(NodeIndex u, NodeIndex v) const {
-  return spf(u).reachable(v);
+  const auto& comp = components();
+  return comp[u] != graph::kInvalidNode && comp[u] == comp[v];
 }
 
 std::optional<std::uint32_t> LinkStateMap::hop_distance(NodeIndex u,

@@ -7,8 +7,10 @@
 // that substrate over a graph::Graph:
 //
 //   * every router shares a consistent link-state database (the graph);
-//   * shortest paths / next hops are computed on demand and cached, with the
-//     cache invalidated whenever the topology version changes;
+//   * shortest paths / next hops are computed on demand, one Dijkstra per
+//     queried source, and cached until the topology version changes;
+//   * reachability is answered from one connected-component labelling per
+//     topology version, so connectivity questions never run a Dijkstra;
 //   * fail/restore operations flood LSAs (accounted as kLinkState messages,
 //     one per live directed edge, as OSPF flooding would) and synchronously
 //     notify subscribed listeners -- the hook the ROFL failure machinery
@@ -19,13 +21,11 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "graph/graph.hpp"
 #include "sim/simulator.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rofl::linkstate {
 
@@ -53,6 +53,8 @@ class LinkStateMap {
   [[nodiscard]] std::optional<NodeIndex> next_hop(NodeIndex u, NodeIndex v) const;
   /// Full router path u..v (inclusive); empty if unreachable.
   [[nodiscard]] std::vector<NodeIndex> path(NodeIndex u, NodeIndex v) const;
+  /// True if both routers are up and joined by live links; the same answer
+  /// as hop_distance(u, v).has_value(), read from the component labels.
   [[nodiscard]] bool reachable(NodeIndex u, NodeIndex v) const;
   /// Hop count of the IGP path, or nullopt if unreachable.
   [[nodiscard]] std::optional<std::uint32_t> hop_distance(NodeIndex u,
@@ -84,27 +86,14 @@ class LinkStateMap {
   /// anywhere in the system can use it for invalidation.
   [[nodiscard]] std::uint64_t version() const { return version_; }
 
-  // -- all-routers SPF recomputation ----------------------------------------
-  /// Worker threads used by recompute_all_spf (0 = serial).  The default is
-  /// ThreadPool::default_threads(); runs are byte-identical for every
-  /// setting (see the determinism contract below).
-  void set_spf_threads(std::size_t threads);
-  [[nodiscard]] std::size_t spf_threads() const { return spf_threads_; }
-
-  /// Recomputes the SPF for every router whose cache slot is stale, fanning
-  /// the per-source Dijkstra runs across the worker pool.  Determinism
-  /// contract: worker `i` writes only cache slot `i`, each Dijkstra depends
-  /// only on the (shared, read-only) graph, and no listeners fire -- so
-  /// routing tables, figure CSVs, and seeded runs are byte-identical to the
-  /// serial path regardless of thread count or OS scheduling.  (Metric
-  /// updates happen once, after the pool drains, from the calling thread;
-  /// only the wall-clock SPF-duration histogram is machine-dependent.)  Called by the repair machinery after topology changes;
-  /// on-demand spf() queries then hit warm slots.
-  void recompute_all_spf() const;
+  /// Connected-component label per router under the current topology
+  /// version (graph::Graph::components(); kInvalidNode marks a down
+  /// router).  Computed at most once per version.
+  [[nodiscard]] const std::vector<NodeIndex>& components() const;
 
  private:
   [[nodiscard]] const graph::ShortestPaths& spf(NodeIndex src) const;
-  /// Drops stale cache slots if the topology version moved.
+  /// Drops the SPF slots and component labels if the topology version moved.
   void refresh_cache_epoch() const;
   void bump_version_and_notify(const TopologyEvent& ev);
 
@@ -116,14 +105,12 @@ class LinkStateMap {
   // Observability ids in the simulator's registry (unset when sim_ == null):
   // SPF work, flood fan-out, and topology churn.
   obs::MetricId spf_runs_id_ = 0;
-  obs::MetricId spf_recompute_ms_id_ = 0;
   obs::MetricId flood_fanout_id_ = 0;
   obs::MetricId floods_id_ = 0;
   obs::MetricId topo_events_id_ = 0;
 
-  std::size_t spf_threads_;
-  mutable std::unique_ptr<util::ThreadPool> pool_;  // built on first use
   mutable std::vector<std::optional<graph::ShortestPaths>> spf_cache_;
+  mutable std::optional<std::vector<NodeIndex>> components_;
   mutable std::uint64_t spf_cache_version_ = 0;
 };
 

@@ -443,7 +443,8 @@ int run_mesh_spawn(const MeshConfig& cfg, const std::string& exe,
           exe, "net", "--worker", arg(r), "--routers", arg(cfg.routers),
           "--hosts", arg(cfg.hosts), "--fingers", arg(cfg.fingers),
           "--seed", arg(cfg.seed), "--base-port", arg(cfg.base_port),
-          "--deadline-ms", arg(cfg.deadline_ms),
+          // The worker parses --deadline-ms as a whole integer.
+          "--deadline-ms", arg(static_cast<std::uint64_t>(cfg.deadline_ms)),
           "--loss", arg(cfg.conditions.loss),
           "--dup", arg(cfg.conditions.duplicate),
           "--jitter", arg(cfg.conditions.jitter_ms),

@@ -57,7 +57,6 @@ Network::Network(const graph::IspTopology* topo, Config cfg, std::uint64_t seed)
   // flags through this pointer.
   map_ = std::make_unique<linkstate::LinkStateMap>(
       const_cast<graph::Graph*>(&topo_->graph), &sim_);
-  if (cfg_.spf_threads.has_value()) map_->set_spf_threads(*cfg_.spf_threads);
 
   joins_id_ = sim_.metrics().counter("rofl.joins");
   routes_id_ = sim_.metrics().counter("rofl.routes");
@@ -191,25 +190,12 @@ Network::Transfer Network::unicast(NodeIndex a, NodeIndex b,
   return t;
 }
 
-void Network::set_shard_map(std::vector<std::uint32_t> map) {
-  assert(map.empty() || map.size() == routers_.size());
-  shard_map_ = std::move(map);
-  if (!shard_map_.empty()) {
-    shard_cross_msgs_id_ = sim_.metrics().counter("shards.cross_msgs");
-    shard_cross_bytes_id_ = sim_.metrics().counter("shards.cross_bytes");
-  }
-}
-
 Network::Exchange Network::exchange_once(
     NodeIndex a, NodeIndex b, sim::MsgCategory cat,
     const std::vector<std::uint8_t>& frame) {
   Exchange ex;
   ex.t = unicast(a, b, cat, frame.size());
   if (!ex.t.ok) return ex;
-  if (!shard_map_.empty() && a != b && shard_map_[a] != shard_map_[b]) {
-    sim_.metrics().add(shard_cross_msgs_id_);
-    sim_.metrics().add(shard_cross_bytes_id_, frame.size());
-  }
   // The frame reached b; the injector may still have garbled bits on the
   // way.  The receiver decodes CRC-verified before touching any state, so a
   // corrupted frame is indistinguishable from a lost one.
@@ -952,11 +938,6 @@ std::uint32_t Network::tear_unreachable_pointers() {
 RepairStats Network::repair_partitions() {
   RepairStats stats;
   flush_labels();
-  // The repair pass below queries reachability/paths from essentially every
-  // live router; recompute the whole SPF set up front (parallel across the
-  // worker pool, deterministic merge) instead of filling the cache one
-  // serial Dijkstra at a time.
-  map_->recompute_all_spf();
   stats.pointers_torn = tear_unreachable_pointers();
 
   // Zero-ID convergence (section 3.2): routers distribute the smallest ID
@@ -1579,7 +1560,7 @@ std::optional<NodeIndex> Network::hosting_router(const NodeId& id) const {
 }
 
 Network::Rings Network::stable_rings() const {
-  const auto comp = topo_->graph.components();
+  const auto& comp = map_->components();
   Rings rings;
   for (const auto& [id, host] : directory_) {
     if (!topo_->graph.node_up(host)) continue;

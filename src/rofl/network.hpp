@@ -81,11 +81,6 @@ struct Config {
   bool enable_labels = false;
   /// Forwarding loop guard.
   std::uint32_t max_forwarding_hops = 100'000;
-  /// Worker threads for the all-routers SPF recomputation that follows a
-  /// topology change (linkstate::LinkStateMap::recompute_all_spf).  The
-  /// result is byte-identical for any value; nullopt picks a machine-sized
-  /// default, 0 forces the serial reference path.
-  std::optional<std::size_t> spf_threads;
   /// Retransmission policy for control-plane exchanges (join, pointer
   /// setup, teardown walks, repair) when a FaultInjector makes the network
   /// lossy.  With no injector installed the first attempt always succeeds
@@ -204,18 +199,6 @@ class Network {
   /// one null check and behaves exactly as before.
   void set_fault_injector(sim::FaultInjector* injector) { faults_ = injector; }
   [[nodiscard]] sim::FaultInjector* fault_injector() const { return faults_; }
-
-  // -- sharded execution ----------------------------------------------------
-  /// Declares which shard each router belongs to (sim::balanced_shard_map
-  /// output; empty = unsharded).  Control exchanges whose endpoints live on
-  /// different shards are then counted on "shards.cross_msgs" /
-  /// "shards.cross_bytes" -- the wire volume that would cross SPSC channels
-  /// when this topology runs under the sharded simulator, and the number the
-  /// partition heuristic is judged by.
-  void set_shard_map(std::vector<std::uint32_t> map);
-  [[nodiscard]] const std::vector<std::uint32_t>& shard_map() const {
-    return shard_map_;
-  }
 
   /// Schedules the plan's link flaps and router crash/restart windows as
   /// simulator events driving fail_link/restore_link and
@@ -438,10 +421,6 @@ class Network {
   obs::MetricId labels_teardowns_id_ = 0;
   obs::MetricId labels_bytes_saved_id_ = 0;
   obs::MetricId label_install_bytes_id_ = 0;
-  // Sharded-execution accounting (set_shard_map); empty when unsharded.
-  std::vector<std::uint32_t> shard_map_;
-  obs::MetricId shard_cross_msgs_id_ = 0;
-  obs::MetricId shard_cross_bytes_id_ = 0;
   // Wire size of a bare data packet / teardown frame, measured from the
   // encoder once at construction; the forwarding hot loop charges bytes
   // without re-encoding per hop.

@@ -46,59 +46,6 @@ struct TestNet {
   }
 };
 
-TEST(IntraDeterminism, ParallelSpfReproducesSerialRunExactly) {
-  // Acceptance gate for the parallel SPF substrate: with a fixed seed, a
-  // network repairing topology failures over the worker pool must produce
-  // byte-identical routing tables (directory, ring state, route outcomes)
-  // and identical per-category message counters to the serial path.
-  Config serial_cfg;
-  serial_cfg.spf_threads = 0;
-  Config parallel_cfg;
-  parallel_cfg.spf_threads = 4;
-  TestNet a(64, 8, serial_cfg, 999);
-  TestNet b(64, 8, parallel_cfg, 999);
-
-  const auto ids_a = a.join_many(80);
-  const auto ids_b = b.join_many(80);
-  ASSERT_EQ(ids_a, ids_b);
-
-  // Drive the repair machinery (where recompute_all_spf runs) identically.
-  const RepairStats ra1 = a.net->fail_router(3);
-  const RepairStats rb1 = b.net->fail_router(3);
-  EXPECT_EQ(ra1.messages, rb1.messages);
-  EXPECT_EQ(ra1.ids_rejoined, rb1.ids_rejoined);
-  EXPECT_EQ(ra1.pointers_torn, rb1.pointers_torn);
-  const RepairStats ra2 = a.net->fail_link(10, a.topo.graph.neighbors(10).front().to);
-  const RepairStats rb2 = b.net->fail_link(10, b.topo.graph.neighbors(10).front().to);
-  EXPECT_EQ(ra2.messages, rb2.messages);
-  a.net->restore_router(3);
-  b.net->restore_router(3);
-
-  // Routing tables: same directory, same ring state, same greedy outcomes.
-  ASSERT_EQ(a.net->directory(), b.net->directory());
-  std::string err;
-  EXPECT_TRUE(a.net->verify_rings(&err)) << err;
-  EXPECT_TRUE(b.net->verify_rings(&err)) << err;
-  for (std::size_t i = 0; i < ids_a.size(); i += 5) {
-    const auto src = static_cast<NodeIndex>((i * 13) % a.net->router_count());
-    const RouteStats sa = a.net->route(src, ids_a[i]);
-    const RouteStats sb = b.net->route(src, ids_b[i]);
-    EXPECT_EQ(sa.delivered, sb.delivered);
-    EXPECT_EQ(sa.physical_hops, sb.physical_hops);
-    EXPECT_EQ(sa.ring_hops, sb.ring_hops);
-    EXPECT_EQ(sa.shortest_hops, sb.shortest_hops);
-  }
-
-  // Figure CSVs derive from these counters; they must match category by
-  // category, not just in total.
-  for (std::size_t c = 0; c < sim::kMsgCategoryCount; ++c) {
-    const auto cat = static_cast<sim::MsgCategory>(c);
-    EXPECT_EQ(a.net->simulator().counters().get(cat),
-              b.net->simulator().counters().get(cat))
-        << sim::to_string(cat);
-  }
-}
-
 TEST(IntraBootstrap, RouterRingIsCorrect) {
   TestNet t;
   std::string err;

@@ -99,8 +99,8 @@ TEST(LinkState, RouteValidTracksTopology) {
   EXPECT_FALSE(m.route_valid(route));
 }
 
-// Random-ish connected graph, big enough to cross the parallel-recompute
-// threshold in recompute_all_spf.
+// Random-ish connected graph with uneven weights and latencies, so shortest
+// paths by weight differ from shortest paths by hop count.
 graph::Graph make_mesh(std::size_t n) {
   graph::Graph g(n);
   std::uint64_t x = 7;
@@ -124,54 +124,55 @@ graph::Graph make_mesh(std::size_t n) {
   return g;
 }
 
-TEST(LinkState, ParallelSpfMatchesSerialByteForByte) {
-  // Determinism contract of recompute_all_spf: the full routing state --
-  // dist, latency, parent, hops for every (src, dst) -- must be identical
-  // between the serial path and any worker-pool width.
-  graph::Graph g_serial = make_mesh(150);
-  graph::Graph g_par = make_mesh(150);
+TEST(LinkState, WarmMapMatchesColdMapAfterMutations) {
+  // The version epoch must drop every cached SPF slot and the component
+  // labels: a warm map mutated through fail_node/fail_link answers every
+  // query exactly like a cold map built on the identically mutated graph.
+  graph::Graph g_warm = make_mesh(150);
   sim::Simulator sim;
-  LinkStateMap serial(&g_serial, &sim);
-  LinkStateMap parallel(&g_par, &sim);
-  serial.set_spf_threads(0);
-  parallel.set_spf_threads(4);
-
-  const auto compare_all = [&] {
-    serial.recompute_all_spf();
-    parallel.recompute_all_spf();
-    for (graph::NodeIndex u = 0; u < g_serial.node_count(); ++u) {
-      for (graph::NodeIndex v = 0; v < g_serial.node_count(); ++v) {
-        ASSERT_EQ(serial.next_hop(u, v), parallel.next_hop(u, v))
-            << u << "->" << v;
-        ASSERT_EQ(serial.path(u, v), parallel.path(u, v)) << u << "->" << v;
-        ASSERT_EQ(serial.hop_distance(u, v), parallel.hop_distance(u, v));
-        ASSERT_EQ(serial.latency_ms(u, v), parallel.latency_ms(u, v));
+  LinkStateMap warm(&g_warm, &sim);
+  const auto query_all = [](const LinkStateMap& m) {
+    for (graph::NodeIndex u = 0; u < m.router_count(); ++u) {
+      for (graph::NodeIndex v = 0; v < m.router_count(); ++v) {
+        (void)m.path(u, v);
+        (void)m.reachable(u, v);
       }
     }
   };
-  compare_all();
-  // Identical topology mutations on both sides; tables must track.
-  serial.fail_node(13);
-  parallel.fail_node(13);
-  serial.fail_link(2, g_serial.neighbors(2).front().to);
-  parallel.fail_link(2, g_par.neighbors(2).front().to);
-  compare_all();
-}
+  query_all(warm);
 
-TEST(LinkState, RecomputeAllWarmsTheOnDemandCache) {
-  graph::Graph g = make_mesh(100);
-  LinkStateMap m(&g, nullptr);
-  m.set_spf_threads(2);
-  m.recompute_all_spf();
-  // Warmed slots answer immediately and consistently with a cold map.
-  graph::Graph g2 = make_mesh(100);
-  LinkStateMap cold(&g2, nullptr);
-  cold.set_spf_threads(0);
-  for (graph::NodeIndex u = 0; u < g.node_count(); u += 7) {
-    for (graph::NodeIndex v = 0; v < g.node_count(); v += 11) {
-      EXPECT_EQ(m.hop_distance(u, v), cold.hop_distance(u, v));
+  warm.fail_node(13);
+  warm.fail_link(2, g_warm.neighbors(2).front().to);
+  // Cut router 40 off entirely so some pairs of up routers are unreachable.
+  for (const graph::Edge& e : g_warm.neighbors(40)) warm.fail_link(40, e.to);
+
+  graph::Graph g_cold = make_mesh(150);
+  g_cold.set_node_up(13, false);
+  g_cold.set_link_up(2, g_cold.neighbors(2).front().to, false);
+  for (const graph::Edge& e : g_cold.neighbors(40)) {
+    g_cold.set_link_up(40, e.to, false);
+  }
+  const LinkStateMap cold(&g_cold, nullptr);
+
+  std::size_t unreachable = 0;
+  for (graph::NodeIndex u = 0; u < g_warm.node_count(); ++u) {
+    for (graph::NodeIndex v = 0; v < g_warm.node_count(); ++v) {
+      ASSERT_EQ(warm.next_hop(u, v), cold.next_hop(u, v)) << u << "->" << v;
+      ASSERT_EQ(warm.path(u, v), cold.path(u, v)) << u << "->" << v;
+      ASSERT_EQ(warm.hop_distance(u, v), cold.hop_distance(u, v));
+      ASSERT_EQ(warm.latency_ms(u, v), cold.latency_ms(u, v));
+      ASSERT_EQ(warm.reachable(u, v), cold.reachable(u, v)) << u << "->" << v;
+      // The component labels answer reachability without a Dijkstra; they
+      // must agree with the SPF tree on every pair.
+      ASSERT_EQ(warm.reachable(u, v), warm.hop_distance(u, v).has_value())
+          << u << "->" << v;
+      if (!warm.reachable(u, v)) ++unreachable;
     }
   }
+  EXPECT_GT(unreachable, 0u);
+  EXPECT_FALSE(warm.reachable(13, 13));
+  EXPECT_TRUE(warm.reachable(40, 40));
+  EXPECT_FALSE(warm.reachable(40, 0));
 }
 
 TEST(LinkState, NullSimAllowed) {

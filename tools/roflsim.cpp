@@ -49,6 +49,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -58,8 +59,9 @@
 #include <iostream>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
+#include <system_error>
+#include <type_traits>
 
 #include "audit/churn.hpp"
 #include "audit/shard_audit.hpp"
@@ -84,6 +86,28 @@ using namespace rofl;
 
 void usage();
 
+/// Parses a whole flag value as T or exits 2 with usage.  std::from_chars
+/// consumes no whitespace and, for unsigned T, no sign -- so "abc", "10x" and
+/// "-1" (which stoull would wrap to 2^64-1) are all rejected, as are
+/// non-finite doubles.
+template <typename T>
+T checked_num(const std::string& key, const std::string& text) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  bool ok = ec == std::errc{} && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(v);
+  if (!ok) {
+    std::cerr << "--" << key << " must be "
+              << (std::is_floating_point_v<T> ? "a finite number"
+                                              : "a non-negative integer")
+              << " (got '" << text << "')\n\n";
+    usage();
+    std::exit(2);
+  }
+  return v;
+}
+
 struct Args {
   std::map<std::string, std::string> kv;
   bool flag(const std::string& k) const { return kv.contains(k); }
@@ -93,11 +117,11 @@ struct Args {
   }
   std::uint64_t num(const std::string& k, std::uint64_t dflt) const {
     const auto it = kv.find(k);
-    return it == kv.end() ? dflt : std::stoull(it->second);
+    return it == kv.end() ? dflt : checked_num<std::uint64_t>(k, it->second);
   }
   double dbl(const std::string& k, double dflt) const {
     const auto it = kv.find(k);
-    return it == kv.end() ? dflt : std::stod(it->second);
+    return it == kv.end() ? dflt : checked_num<double>(k, it->second);
   }
 };
 
@@ -129,19 +153,15 @@ double timeline_window_arg(const Args& a, double dflt) {
   return w;
 }
 
-/// Numeric option that must be a strictly positive integer.  Args::num
-/// funnels through stoull, which silently wraps "-2" to a huge value, so the
-/// raw string is inspected: "--shards 0" or "--shards -2" exits 2 with usage
-/// instead of running a configuration the engine cannot mean.
+/// Numeric option that must be a strictly positive integer: "--shards 0"
+/// exits 2 with usage instead of running a configuration the engine cannot
+/// mean (Args::num already rejects "-2").
 std::uint64_t positive_num_arg(const Args& a, const std::string& key,
                                std::uint64_t dflt) {
-  const auto it = a.kv.find(key);
-  if (it == a.kv.end()) return dflt;
-  const std::uint64_t v =
-      it->second.find('-') == std::string::npos ? a.num(key, dflt) : 0;
+  const std::uint64_t v = a.num(key, dflt);
   if (v == 0) {
     std::cerr << "--" << key << " must be a positive integer (got '"
-              << it->second << "')\n\n";
+              << a.str(key, "") << "')\n\n";
     usage();
     std::exit(2);
   }
@@ -290,12 +310,8 @@ struct ObsSession {
       sim.set_tracer(&tracer);
     }
     if (!timeline_path.empty()) {
-      // SPF recompute histograms measure host CPU; exclude them so two
-      // same-seed timeline files byte-compare (same rule as --metrics-json).
       timeline = std::make_unique<obs::Timeline>(
-          &sim.metrics(),
-          obs::Timeline::Config{timeline_window_ms, 1 << 16,
-                                {"recompute_ms"}});
+          &sim.metrics(), obs::Timeline::Config{timeline_window_ms, 1 << 16});
       sim.set_timeline(timeline.get());
       // Live counter tracks: every window close lands "ph":"C" samples in
       // the trace, in sim-clock order, so Perfetto graphs them as series.
@@ -655,17 +671,9 @@ int cmd_faults(const Args& a) {
   net.simulator().run_until(t + 200.0);  // every scheduled window closed
 
   // Snapshot before the faults-off repair so two same-seed runs compare the
-  // faulty phase, not whatever repair did afterwards.  Wall-clock histograms
-  // (SPF recompute times) are excluded: they measure host CPU, not simulated
-  // behavior, and would break byte-for-byte comparison.
-  const bool metrics_ok = write_metrics_json(a, [&net] {
-    std::istringstream in(net.simulator().metrics().to_json(2));
-    std::string line, kept;
-    while (std::getline(in, line)) {
-      if (line.find("recompute_ms") == std::string::npos) kept += line + "\n";
-    }
-    return kept;
-  });
+  // faulty phase, not whatever repair did afterwards.
+  const bool metrics_ok = write_metrics_json(
+      a, [&net] { return net.simulator().metrics().to_json(2) + "\n"; });
   if (!metrics_ok) return 1;
 
   net.set_fault_injector(nullptr);
@@ -769,7 +777,9 @@ int cmd_audit(const Args& a) {
     }
   }
 
-  if (!write_metrics_json(a, [&res] { return res.metrics_json; })) return 1;
+  if (!write_metrics_json(a, [&res] { return res.metrics_json + "\n"; })) {
+    return 1;
+  }
 
   const std::string timeline_path = a.str("timeline", "");
   if (!timeline_path.empty() &&
